@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <functional>
 #include <utility>
 
@@ -128,6 +129,12 @@ StatusOr<QueryResponse> Engine::Process(const Model& model,
   if (items.size() > kMaxQueryItems) {
     return Status::InvalidArgument(
         "query: item set larger than kMaxQueryItems");
+  }
+  // A NaN threshold compares false against every ACV, so it would fire
+  // every rule.
+  if (request.kind == QueryRequest::Kind::kReachable &&
+      std::isnan(request.min_acv)) {
+    return Status::InvalidArgument("query: min_acv is NaN");
   }
 
   // Only pay for key canonicalization when a cache exists: the no-cache

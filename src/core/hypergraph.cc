@@ -88,7 +88,9 @@ StatusOr<EdgeId> DirectedHypergraph::AddEdge(std::vector<VertexId> tail,
   if (std::adjacent_find(tail.begin(), tail.end()) != tail.end()) {
     return Status::InvalidArgument("hypergraph: repeated tail vertex");
   }
-  if (weight < 0.0 || weight > 1.0) {
+  // Written so that NaN fails too: a NaN weight would break the strict
+  // weak ordering every ACV sort relies on.
+  if (!(weight >= 0.0 && weight <= 1.0)) {
     return Status::InvalidArgument("hypergraph: weight outside [0, 1]");
   }
 

@@ -119,7 +119,8 @@ struct Reactor {
   EventLoop loop;
   /// This reactor's own listener: every reactor has one in kReusePort
   /// mode; only reactor 0's is valid in kHandoff mode (and with one
-  /// reactor). Invalid listeners never enter the loop.
+  /// reactor). Invalid listeners never enter the loop; a drain removes
+  /// the listener from the loop and closes it for good.
   Listener listener;
   std::thread thread;
 

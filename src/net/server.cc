@@ -604,7 +604,7 @@ void Server::AcceptPending(Reactor& r, bool admin) {
       continue;  // socket closes as `accepted` dies
     }
     if (!admin && draining_.load()) {
-      // A draining server takes no new work (ApplyDrain also mutes the
+      // A draining server takes no new work (ApplyDrain also closes the
       // listeners; this covers the race before it runs). The close reads
       // as a refused connection — clients retry elsewhere.
       HM_LOG_INFO << "connection refused: draining";
@@ -947,12 +947,14 @@ void Server::CheckStalls(Reactor& r) {
 
 void Server::ApplyDrain(Reactor& r) {
   r.drain_applied = true;
-  // Mute this reactor's query listener: the backlog stops being accepted,
-  // so new connects queue briefly and then fail instead of reaching a
-  // server that would refuse them anyway. The admin listener stays live.
+  // Close this reactor's query listener: the kernel resets every connect
+  // still queued in its accept backlog and refuses new ones, so clients
+  // fail fast and retry elsewhere. Merely muting it would leave queued
+  // connects hanging, since nothing would ever accept or close them. The
+  // admin listener stays live.
   if (r.listener.valid()) {
-    (void)r.loop.Update(r.listener.fd(), kListenerTag, /*read=*/false,
-                        /*write=*/false);
+    (void)r.loop.Remove(r.listener.fd());
+    r.listener.Close();
   }
   // Connections with in-flight work close via AfterEvent once answered
   // and flushed; everything already quiet closes now.

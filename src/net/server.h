@@ -224,7 +224,8 @@ class Server {
 
   /// Enters the drain state (idempotent, any thread): /healthz flips to
   /// 503 "draining" so rolling-restart orchestration stops routing here,
-  /// new query-plane connections are refused, idle query connections are
+  /// the query listeners close (new connects are refused, and those still
+  /// in the accept backlog are reset), idle query connections are
   /// closed, and busy ones are closed as soon as their in-flight work is
   /// answered and flushed. The admin plane stays up — the orchestrator
   /// must keep observing the drain it requested. Serving still works for
@@ -275,7 +276,7 @@ class Server {
   void ReapIdle(Reactor& r) HM_REQUIRES(r.loop);
   /// Closes query connections stuck mid-frame past stall_timeout_ms.
   void CheckStalls(Reactor& r) HM_REQUIRES(r.loop);
-  /// Reactor-side drain entry: mutes this reactor's listener and closes
+  /// Reactor-side drain entry: closes this reactor's query listener and
   /// its query connections with no in-flight work. Runs once per reactor
   /// per Drain().
   void ApplyDrain(Reactor& r) HM_REQUIRES(r.loop);

@@ -1,7 +1,6 @@
 #include "serve/rule_index.h"
 
 #include <algorithm>
-#include <queue>
 #include <tuple>
 
 namespace hypermine::serve {
@@ -50,69 +49,59 @@ size_t RuleIndex::KeyHasher::operator()(const Key& key) const noexcept {
 RuleIndex RuleIndex::Build(const core::DirectedHypergraph& graph) {
   RuleIndex index;
   index.num_vertices_ = graph.num_vertices();
-  index.out_edges_.resize(graph.num_vertices());
+  index.tail_groups_.resize(graph.num_vertices());
 
-  // Copy the edges compactly and bucket entry positions by tail key.
-  const size_t num_edges = graph.num_edges();
-  index.edges_.reserve(num_edges);
+  // Bucket edge ids by tail key; within a group order by ACV desc (ties:
+  // smaller head id first, for deterministic serving).
+  const std::vector<core::Hyperedge>& edges = graph.edges();
   std::vector<std::pair<Key, core::EdgeId>> keyed;
-  keyed.reserve(num_edges);
-  for (core::EdgeId id = 0; id < num_edges; ++id) {
-    const core::Hyperedge& e = graph.edge(id);
-    Edge copy;
-    size_t n = e.tail_size();
-    copy.tail_size = static_cast<uint8_t>(n);
-    for (size_t i = 0; i < core::kMaxTailSize; ++i) copy.tail[i] = e.tail[i];
-    copy.head = e.head;
-    copy.weight = e.weight;
-    index.edges_.push_back(copy);
-    for (size_t i = 0; i < n; ++i) {
-      index.out_edges_[e.tail[i]].push_back(id);
-    }
-    keyed.emplace_back(TailKey(e.TailSpan()), id);
+  keyed.reserve(edges.size());
+  for (core::EdgeId id = 0; id < edges.size(); ++id) {
+    keyed.emplace_back(TailKey(edges[id].TailSpan()), id);
   }
-
-  // Group by key; within a group order by ACV desc (ties: smaller head id
-  // first, for deterministic serving).
   std::sort(keyed.begin(), keyed.end(),
-            [&index](const auto& a, const auto& b) {
+            [&edges](const auto& a, const auto& b) {
               if (a.first != b.first) {
                 return std::tie(a.first.hi, a.first.lo) <
                        std::tie(b.first.hi, b.first.lo);
               }
-              const Edge& ea = index.edges_[a.second];
-              const Edge& eb = index.edges_[b.second];
+              const core::Hyperedge& ea = edges[a.second];
+              const core::Hyperedge& eb = edges[b.second];
               if (ea.weight != eb.weight) return ea.weight > eb.weight;
               return ea.head < eb.head;
             });
-  index.entries_.reserve(num_edges);
+  index.entries_.reserve(edges.size());
   for (size_t i = 0; i < keyed.size();) {
-    size_t j = i;
-    while (j < keyed.size() && keyed[j].first == keyed[i].first) ++j;
-    Group group;
-    group.begin = static_cast<uint32_t>(index.entries_.size());
-    group.size = static_cast<uint32_t>(j - i);
-    index.groups_.emplace(keyed[i].first, group);
-    for (size_t p = i; p < j; ++p) {
-      const Edge& e = index.edges_[keyed[p].second];
-      index.entries_.push_back({e.head, e.weight, keyed[p].second});
+    const Key key = keyed[i].first;
+    const auto group = static_cast<uint32_t>(index.group_begin_.size());
+    const core::Hyperedge& first = edges[keyed[i].second];
+    index.groups_.emplace(key, group);
+    index.group_begin_.push_back(static_cast<uint32_t>(index.entries_.size()));
+    index.group_tail_size_.push_back(static_cast<uint8_t>(first.tail_size()));
+    for (core::VertexId v : first.TailSpan()) {
+      index.tail_groups_[v].push_back(group);
     }
-    i = j;
+    for (; i < keyed.size() && keyed[i].first == key; ++i) {
+      const core::Hyperedge& e = edges[keyed[i].second];
+      index.entries_.push_back({e.head, e.weight, keyed[i].second});
+    }
   }
+  index.group_begin_.push_back(static_cast<uint32_t>(index.entries_.size()));
   return index;
+}
+
+std::span<const RankedConsequent> RuleIndex::Consequents(
+    std::span<const core::VertexId> tail) const {
+  auto it = groups_.find(TailKey(tail));
+  if (it == groups_.end()) return {};
+  return GroupEntries(it->second);
 }
 
 std::vector<RankedConsequent> RuleIndex::TopK(
     std::span<const core::VertexId> tail, size_t k) const {
-  std::vector<RankedConsequent> out;
-  if (k == 0) return out;
-  auto it = groups_.find(TailKey(tail));
-  if (it == groups_.end()) return out;
-  const Group& group = it->second;
-  size_t take = std::min<size_t>(k, group.size);
-  out.assign(entries_.begin() + group.begin,
-             entries_.begin() + group.begin + take);
-  return out;
+  std::span<const RankedConsequent> group = Consequents(tail);
+  group = group.first(std::min(k, group.size()));
+  return {group.begin(), group.end()};
 }
 
 std::vector<RankedConsequent> RuleIndex::TopKWithin(
@@ -129,11 +118,7 @@ std::vector<RankedConsequent> RuleIndex::TopKWithin(
   // Best ACV per head over all tail subsets of size 1..3.
   std::unordered_map<core::VertexId, RankedConsequent> best;
   auto consider = [this, &best](std::span<const core::VertexId> tail) {
-    auto it = groups_.find(TailKey(tail));
-    if (it == groups_.end()) return;
-    const Group& group = it->second;
-    for (uint32_t p = group.begin; p < group.begin + group.size; ++p) {
-      const RankedConsequent& entry = entries_[p];
+    for (const RankedConsequent& entry : Consequents(tail)) {
       auto [slot, inserted] = best.emplace(entry.head, entry);
       if (!inserted && entry.acv > slot->second.acv) slot->second = entry;
     }
@@ -165,36 +150,31 @@ std::vector<RankedConsequent> RuleIndex::TopKWithin(
 std::vector<core::VertexId> RuleIndex::Reachable(
     std::span<const core::VertexId> seeds, double min_acv) const {
   std::vector<char> in_closure(num_vertices_, 0);
-  // Tail vertices still missing before each edge can fire.
-  std::vector<uint8_t> missing(edges_.size());
-  for (size_t e = 0; e < edges_.size(); ++e) missing[e] = edges_[e].tail_size;
-
-  std::queue<core::VertexId> frontier;
+  // Tail vertices still missing before each tail set's rules can fire.
+  std::vector<uint8_t> missing(group_tail_size_);
+  // The closure doubles as the work list: every vertex is expanded once.
+  std::vector<core::VertexId> closure;
+  auto reach = [&in_closure, &closure](core::VertexId v) {
+    if (in_closure[v]) return;
+    in_closure[v] = 1;
+    closure.push_back(v);
+  };
   for (core::VertexId v : seeds) {
-    if (v < num_vertices_ && !in_closure[v]) {
-      in_closure[v] = 1;
-      frontier.push(v);
-    }
+    if (v < num_vertices_) reach(v);
   }
-  while (!frontier.empty()) {
-    core::VertexId v = frontier.front();
-    frontier.pop();
-    for (uint32_t e : out_edges_[v]) {
-      if (edges_[e].weight < min_acv) continue;
-      if (--missing[e] != 0) continue;
-      core::VertexId head = edges_[e].head;
-      if (!in_closure[head]) {
-        in_closure[head] = 1;
-        frontier.push(head);
+  for (size_t i = 0; i < closure.size(); ++i) {
+    for (uint32_t group : tail_groups_[closure[i]]) {
+      if (--missing[group] != 0) continue;
+      // Whole tail reached: its rules fire best ACV first, down to
+      // min_acv.
+      for (const RankedConsequent& entry : GroupEntries(group)) {
+        if (entry.acv < min_acv) break;
+        reach(entry.head);
       }
     }
   }
-
-  std::vector<core::VertexId> out;
-  for (core::VertexId v = 0; v < num_vertices_; ++v) {
-    if (in_closure[v]) out.push_back(v);
-  }
-  return out;
+  std::sort(closure.begin(), closure.end());
+  return closure;
 }
 
 }  // namespace hypermine::serve

@@ -21,11 +21,14 @@ struct RankedConsequent {
                          const RankedConsequent&) = default;
 };
 
-/// Read-optimized index over a built association hypergraph. Construction
-/// groups hyperedges by canonicalized tail set and pre-sorts each group's
-/// consequents by descending ACV, so serving a TopK query is a hash lookup
-/// plus a slice — no per-query sorting. The index copies what it needs and
-/// does not retain a reference to the source graph.
+/// Read-optimized index over a built association hypergraph. It stores
+/// one entry per hyperedge (head, ACV, edge id), grouped by canonicalized
+/// tail set with each group's consequents pre-sorted by descending ACV; a
+/// hash map from tail set to group; and, per vertex, the groups whose tail
+/// contains it. Serving a TopK query is a hash lookup plus a slice — no
+/// per-query sorting — and a closure keeps one counter per tail set, not
+/// per hyperedge. The index copies what it needs and does not retain a
+/// reference to the source graph.
 class RuleIndex {
  public:
   /// Builds the index in O(E log E).
@@ -49,6 +52,9 @@ class RuleIndex {
   /// is >= min_acv, making its head reachable. Returns the closure
   /// (including the seeds), sorted ascending. Mirrors SCC/reachability
   /// notions on directed hypergraphs (Allamigeon, arXiv:1112.1444).
+  /// Costs one byte of scratch per tail set and per vertex: a tail set's
+  /// consequents are read once its last tail vertex is reached, best ACV
+  /// first, stopping at the first below min_acv.
   std::vector<core::VertexId> Reachable(std::span<const core::VertexId> seeds,
                                         double min_acv) const;
 
@@ -76,25 +82,27 @@ class RuleIndex {
   static constexpr Key kInvalidTailKey{~0ull, ~0ull};
 
  private:
-  struct Group {
-    uint32_t begin = 0;
-    uint32_t size = 0;
-  };
-
-  struct Edge {
-    core::VertexId tail[core::kMaxTailSize];
-    uint8_t tail_size = 0;
-    core::VertexId head = core::kNoVertex;
-    double weight = 0.0;
-  };
+  /// Consequents of one tail-set group, best ACV first.
+  std::span<const RankedConsequent> GroupEntries(uint32_t group) const {
+    return {entries_.data() + group_begin_[group],
+            entries_.data() + group_begin_[group + 1]};
+  }
+  /// Consequents of the exact tail set; empty when no rule has that tail.
+  std::span<const RankedConsequent> Consequents(
+      std::span<const core::VertexId> tail) const;
 
   size_t num_vertices_ = 0;
   /// Consequents, grouped by tail key, each group sorted by ACV desc.
   std::vector<RankedConsequent> entries_;
-  std::unordered_map<Key, Group, KeyHasher> groups_;
-  /// Compact edge copies + per-vertex incidence for Reachable().
-  std::vector<Edge> edges_;
-  std::vector<std::vector<uint32_t>> out_edges_;
+  /// Tail key -> group id; group g owns
+  /// entries_[group_begin_[g], group_begin_[g + 1]).
+  std::unordered_map<Key, uint32_t, KeyHasher> groups_;
+  std::vector<uint32_t> group_begin_;
+  /// Per group, its tail size: the starting value of Reachable()'s
+  /// "tail vertices still missing" counters.
+  std::vector<uint8_t> group_tail_size_;
+  /// Per vertex, the groups whose tail contains it.
+  std::vector<std::vector<uint32_t>> tail_groups_;
 };
 
 }  // namespace hypermine::serve

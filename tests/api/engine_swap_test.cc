@@ -45,6 +45,9 @@ TEST(EngineSwapTest, ConcurrentBatchesRacingSwapStayConsistent) {
   constexpr size_t kCallers = 4;
   constexpr size_t kBatchSize = 16;
   std::atomic<bool> stop{false};
+  std::atomic<bool> swapped{false};
+  // Callers that finished a batch they started after the first swap.
+  std::atomic<size_t> raced{0};
   std::atomic<uint64_t> answered{0};
   std::atomic<uint64_t> errors{0};          // non-OK responses (must be 0)
   std::atomic<uint64_t> inconsistent{0};    // version/answer mismatch
@@ -57,9 +60,15 @@ TEST(EngineSwapTest, ConcurrentBatchesRacingSwapStayConsistent) {
       q.items = {0};
       q.k = 3;
       std::vector<QueryRequest> batch(kBatchSize, q);
+      bool counted = false;
       while (!stop.load(std::memory_order_relaxed)) {
+        const bool after_swap = swapped.load();
         std::vector<StatusOr<QueryResponse>> responses =
             engine.QueryBatch(batch);
+        if (after_swap && !counted) {
+          counted = true;
+          raced.fetch_add(1);
+        }
         uint64_t batch_version = 0;
         for (const auto& response : responses) {
           if (!response.ok()) {
@@ -86,9 +95,12 @@ TEST(EngineSwapTest, ConcurrentBatchesRacingSwapStayConsistent) {
     });
   }
 
-  // Hammer swaps while the callers run.
-  for (int i = 0; i < 400; ++i) {
+  // Hammer swaps while the callers run: at least 400, and on until every
+  // caller has finished a batch that raced them (on a loaded host 400
+  // swaps can all land before any caller completes one).
+  for (int i = 0; i < 400 || raced.load() < kCallers; ++i) {
     engine.Swap(i % 2 == 0 ? b : a);
+    swapped.store(true);
     std::this_thread::yield();
   }
   stop.store(true);

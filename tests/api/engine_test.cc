@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -76,14 +77,19 @@ TEST(ApiEngineTest, PerQueryStatusDoesNotFailTheBatch) {
   QueryRequest unknown_name;
   unknown_name.names = {"no-such-vertex"};       // unresolvable
   requests.push_back(unknown_name);
+  QueryRequest nan_threshold = TopKRequest({1}, 5);
+  nan_threshold.kind = QueryRequest::Kind::kReachable;
+  nan_threshold.min_acv = std::nan("");          // would fire every rule
+  requests.push_back(nan_threshold);
 
   std::vector<StatusOr<QueryResponse>> responses =
       engine.QueryBatch(requests);
-  ASSERT_EQ(responses.size(), 4u);
+  ASSERT_EQ(responses.size(), 5u);
   EXPECT_TRUE(responses[0].ok());
   EXPECT_EQ(responses[1].status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(responses[2].status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(responses[3].status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(responses[4].status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ApiEngineTest, NamesResolveAgainstTheLiveModel) {

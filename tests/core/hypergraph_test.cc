@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/logging.h"
 
 namespace hypermine::core {
@@ -31,6 +33,7 @@ TEST(HypergraphTest, AddEdgeValidations) {
   EXPECT_FALSE(g.AddEdge({1, 1}, 0, 0.5).ok());            // repeated tail
   EXPECT_FALSE(g.AddEdge({1}, 0, 1.5).ok());               // weight range
   EXPECT_FALSE(g.AddEdge({1}, 0, -0.1).ok());
+  EXPECT_FALSE(g.AddEdge({1}, 0, std::nan("")).ok());
   EXPECT_TRUE(g.AddEdge({1}, 0, 0.5).ok());
   // Duplicate combination rejected, in any tail order.
   EXPECT_TRUE(g.AddEdge({1, 2}, 0, 0.5).ok());

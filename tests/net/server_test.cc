@@ -636,6 +636,14 @@ TEST(ServerTest, DrainFinishesInFlightWorkAndRefusesNewConnections) {
   auto during = busy.Query(Named({"A"}));
   EXPECT_FALSE(during.ok()) << "drained connection should be closed";
 
+  // A connect made after the drain is refused, or reset if it raced into
+  // the accept backlog; it is never left queued where nothing accepts it.
+  auto late = Socket::Connect("127.0.0.1", server->port());
+  if (late.ok()) {
+    ASSERT_TRUE(late->Readable(2000)) << "connect after Drain() hangs";
+    EXPECT_FALSE(late->ReadFull(&byte, 1).ok());
+  }
+
   // The admin plane outlives the drain, reporting it: /healthz flips to
   // 503 so load balancers stop routing here.
   auto connected = Socket::Connect("127.0.0.1", server->admin_port(), 2000);

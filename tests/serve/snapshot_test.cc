@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "core/builder.h"
 #include "core/discretize.h"
@@ -306,6 +308,44 @@ TEST(SnapshotTest, SpecTrailerRoundTrips) {
   ExpectSameGraph(graph, loaded->graph);
 }
 
+/// FNV-1a over a snapshot body: the envelope's checksum field.
+uint64_t BodyChecksum(std::string_view body) {
+  uint64_t checksum = 0xcbf29ce484222325ull;
+  for (unsigned char c : body) {
+    checksum ^= c;
+    checksum *= 0x100000001b3ull;
+  }
+  return checksum;
+}
+
+/// Overwrites the first edge weight equal to `from` with `to` and
+/// re-seals the checksum, so only the weight check can reject the result.
+std::string PatchWeight(std::string snap, double from, double to) {
+  const std::string_view pattern(reinterpret_cast<const char*>(&from),
+                                 sizeof(from));
+  const size_t pos = snap.find(pattern, 24);
+  HM_CHECK(pos != std::string::npos);
+  std::memcpy(&snap[pos], &to, sizeof(to));
+  const uint64_t checksum = BodyChecksum(std::string_view(snap).substr(24));
+  std::memcpy(&snap[16], &checksum, sizeof(checksum));
+  return snap;
+}
+
+TEST(SnapshotTest, NanWeightIsCorrupted) {
+  core::DirectedHypergraph graph = Named({"a", "b"});
+  ASSERT_TRUE(graph.AddEdge({0}, 1, 0.123456789).ok());
+  const std::string snap = SerializeSnapshot(graph);
+  // A legal replacement weight loads, so the re-sealed checksum holds...
+  auto patched = DeserializeSnapshot(PatchWeight(snap, 0.123456789, 0.25));
+  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+  EXPECT_EQ(patched->edge(0).weight, 0.25);
+  // ...and a NaN ACV is refused by AddEdge, reported as corruption.
+  EXPECT_EQ(DeserializeSnapshot(PatchWeight(snap, 0.123456789, std::nan("")))
+                .status()
+                .code(),
+            StatusCode::kCorrupted);
+}
+
 /// Serializes `graph` in the retired version-1 wire format (no spec
 /// trailer) so backward compatibility stays pinned even though the writer
 /// only emits v2 now.
@@ -332,15 +372,10 @@ std::string SerializeV1Snapshot(const core::DirectedHypergraph& graph) {
     append_pod(&body, static_cast<uint16_t>(e.head));
     append_pod(&body, e.weight);
   }
-  uint64_t checksum = 0xcbf29ce484222325ull;
-  for (unsigned char c : body) {
-    checksum ^= c;
-    checksum *= 0x100000001b3ull;
-  }
   std::string out("HMSNAPSH", 8);
   append_pod(&out, static_cast<uint32_t>(1));  // version
   append_pod(&out, static_cast<uint32_t>(0));  // flags
-  append_pod(&out, checksum);
+  append_pod(&out, BodyChecksum(body));
   out += body;
   return out;
 }
