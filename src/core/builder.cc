@@ -246,6 +246,11 @@ StatusOr<DirectedHypergraph> BuildAssociationHypergraph(
   // matching the serial build's insertion order and floating-point
   // accumulation order bit for bit.
   local.edge_candidates = n * (n - 1);
+  size_t kept = 0;
+  for (const HeadVerdicts& verdicts : per_head) {
+    kept += verdicts.kept_edges.size() + verdicts.kept_pairs.size();
+  }
+  graph.ReserveEdges(kept);
   double edge_acv_sum = 0.0;
   for (size_t h = 0; h < n; ++h) {
     for (const auto& [a, acv] : per_head[h].kept_edges) {

@@ -1,6 +1,7 @@
 #include "core/hypergraph.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -51,11 +52,10 @@ DirectedHypergraph::EdgeKey DirectedHypergraph::MakeEdgeKey(
   return key;
 }
 
-size_t DirectedHypergraph::EdgeKeyHasher::operator()(
-    const EdgeKey& key) const noexcept {
+size_t DirectedHypergraph::HashEdgeKey(const EdgeKey& key) {
   // splitmix64-style mix of each half, combined with an odd multiplier —
   // cheap, and spreads the low-entropy packed ids across the whole hash
-  // range.
+  // range, which linear probing needs to keep its runs short.
   auto mix = [](uint64_t x) {
     x += 0x9e3779b97f4a7c15ull;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -64,6 +64,35 @@ size_t DirectedHypergraph::EdgeKeyHasher::operator()(
   };
   return static_cast<size_t>(mix(key.hi) * 0x9ddfea08eb382d69ull +
                              mix(key.lo));
+}
+
+size_t DirectedHypergraph::FindSlot(const EdgeKey& key) const {
+  // The table is at most half full, so every probe ends at an empty slot.
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = HashEdgeKey(key) & mask;; i = (i + 1) & mask) {
+    const EdgeId id = slots_[i];
+    if (id == kEmptySlot) return i;
+    const Hyperedge& e = edges_[id];
+    if (MakeEdgeKey(e.tail, e.head) == key) return i;
+  }
+}
+
+void DirectedHypergraph::RehashSlots(size_t capacity) {
+  // Stored edges are distinct, so each goes into the first empty slot of
+  // its probe, with no key comparison (and no read of another edge).
+  slots_.assign(capacity, kEmptySlot);
+  const size_t mask = capacity - 1;
+  for (EdgeId id = 0; id < edges_.size(); ++id) {
+    const Hyperedge& e = edges_[id];
+    size_t i = HashEdgeKey(MakeEdgeKey(e.tail, e.head)) & mask;
+    while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
+    slots_[i] = id;
+  }
+}
+
+void DirectedHypergraph::ReserveEdges(size_t n) {
+  edges_.reserve(n);
+  if (2 * n > slots_.size()) RehashSlots(std::bit_ceil(2 * n));
 }
 
 StatusOr<EdgeId> DirectedHypergraph::AddEdge(std::vector<VertexId> tail,
@@ -99,13 +128,18 @@ StatusOr<EdgeId> DirectedHypergraph::AddEdge(std::vector<VertexId> tail,
   edge.head = head;
   edge.weight = weight;
 
-  EdgeKey key = MakeEdgeKey(edge.tail, head);
-  if (index_.count(key) > 0) {
+  // Grow before probing, so the one probe below finds both a duplicate
+  // and the slot the new edge goes into.
+  if (2 * (edges_.size() + 1) > slots_.size()) {
+    RehashSlots(std::max<size_t>(16, 2 * slots_.size()));
+  }
+  const size_t slot = FindSlot(MakeEdgeKey(edge.tail, head));
+  if (slots_[slot] != kEmptySlot) {
     return Status::AlreadyExists("hypergraph: duplicate (T, H) combination");
   }
   EdgeId id = static_cast<EdgeId>(edges_.size());
+  slots_[slot] = id;
   edges_.push_back(edge);
-  index_.emplace(key, id);
   in_edges_[head].push_back(id);
   for (VertexId v : tail) out_edges_[v].push_back(id);
   ++num_by_tail_size_[tail.size() - 1];
@@ -131,18 +165,18 @@ std::optional<EdgeId> DirectedHypergraph::FindEdge(
     std::span<const VertexId> tail, VertexId head) const {
   if (tail.empty() || tail.size() > kMaxTailSize) return std::nullopt;
   // Out-of-range ids miss immediately: keys are full-width so they could
-  // never alias a real vertex, but probing the index for ids no edge can
+  // never alias a real vertex, but probing the table for ids no edge can
   // contain would be wasted work.
-  if (head >= names_.size()) return std::nullopt;
+  if (slots_.empty() || head >= names_.size()) return std::nullopt;
   VertexId sorted[kMaxTailSize] = {kNoVertex, kNoVertex, kNoVertex};
   for (size_t i = 0; i < tail.size(); ++i) {
     if (tail[i] >= names_.size()) return std::nullopt;
     sorted[i] = tail[i];
   }
   std::sort(sorted, sorted + tail.size());
-  auto it = index_.find(MakeEdgeKey(sorted, head));
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  const EdgeId id = slots_[FindSlot(MakeEdgeKey(sorted, head))];
+  if (id == kEmptySlot) return std::nullopt;
+  return id;
 }
 
 double DirectedHypergraph::WeightedInDegree(VertexId v) const {

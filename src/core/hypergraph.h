@@ -5,7 +5,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/status.h"
@@ -50,8 +49,15 @@ struct Hyperedge {
 
 /// A directed hypergraph over named vertices with small tail sets and
 /// singleton heads — the association hypergraph of Definition 3.6.
-/// Maintains in/out incidence lists and an exact-edge lookup index (needed
-/// by the similarity measures of Definition 3.11).
+/// Maintains in/out incidence lists and an exact-edge lookup table, used by
+/// AddEdge's duplicate check and by FindEdge (the similarity measures of
+/// Definition 3.11).
+///
+/// The exact-edge table is open-addressed with linear probing: a
+/// power-of-two array of 4-byte edge ids, kept at most half full. Slots
+/// store no keys; a slot's (T, H) is read back from the edge it names.
+/// It doubles as edges are added; ReserveEdges sizes it (and the edge
+/// array) once for a load whose edge count is known up front.
 class DirectedHypergraph {
  public:
   /// Creates a hypergraph with `names.size()` vertices. Fails when names is
@@ -71,6 +77,10 @@ class DirectedHypergraph {
   /// rejected with kAlreadyExists.
   StatusOr<EdgeId> AddEdge(std::vector<VertexId> tail, VertexId head,
                            double weight);
+
+  /// Makes room for `n` edges in total, so that adding up to `n` edges
+  /// neither regrows the exact-edge table nor reallocates the edge array.
+  void ReserveEdges(size_t n);
 
   const Hyperedge& edge(EdgeId id) const;
   const std::vector<Hyperedge>& edges() const { return edges_; }
@@ -120,20 +130,27 @@ class DirectedHypergraph {
     uint64_t lo = 0;  ///< tail[2] << 32 | head
     bool operator==(const EdgeKey&) const = default;
   };
-  struct EdgeKeyHasher {
-    size_t operator()(const EdgeKey& key) const noexcept;
-  };
+  /// Marks an empty slot of the exact-edge table.
+  static constexpr EdgeId kEmptySlot = 0xFFFFFFFFu;
 
   explicit DirectedHypergraph(std::vector<std::string> names);
 
   static EdgeKey MakeEdgeKey(const VertexId tail[kMaxTailSize],
                              VertexId head);
+  static size_t HashEdgeKey(const EdgeKey& key);
+
+  /// Index of the slot that holds the edge with `key`, or of the empty
+  /// slot where it would be inserted. Requires a non-empty table.
+  size_t FindSlot(const EdgeKey& key) const;
+  /// Rebuilds the exact-edge table with `capacity` slots (a power of two
+  /// at least twice num_edges()).
+  void RehashSlots(size_t capacity);
 
   std::vector<std::string> names_;
   std::vector<Hyperedge> edges_;
   std::vector<std::vector<EdgeId>> in_edges_;
   std::vector<std::vector<EdgeId>> out_edges_;
-  std::unordered_map<EdgeKey, EdgeId, EdgeKeyHasher> index_;
+  std::vector<EdgeId> slots_;  ///< exact-edge table; kEmptySlot = free
   size_t num_by_tail_size_[kMaxTailSize] = {0, 0, 0};
 };
 

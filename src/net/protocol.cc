@@ -161,6 +161,15 @@ Status EncodeResponseFrame(uint64_t request_id, const WireResponse& response,
       HM_RETURN_IF_ERROR(AppendString(&body, name, "closure vertex name"));
     }
   }
+  // Every receiver drops a frame above the cap as stream corruption
+  // (docs/protocol.md §1), so such a body must never be sent.
+  if (body.size() > kMaxBodyBytes) {
+    return Status::ResourceExhausted(StrFormat(
+        "response of %zu results encodes to %zu bytes, above the protocol "
+        "cap of %u; narrow the query",
+        response.ranked.size() + response.closure.size(), body.size(),
+        kMaxBodyBytes));
+  }
   *out = Frame(request_id, FrameType::kResponse, std::move(body), version);
   return Status::OK();
 }

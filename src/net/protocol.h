@@ -102,6 +102,9 @@ Status DecodeQueryBody(std::string_view body, api::QueryRequest* request);
 
 /// Encodes a complete response frame (header + body). `version` lets the
 /// server stamp its own protocol version when rejecting a foreign one.
+/// kInvalidArgument when a name or the message exceeds kMaxStringBytes;
+/// kResourceExhausted, naming the result count and the encoded size, when
+/// the body would exceed kMaxBodyBytes.
 Status EncodeResponseFrame(uint64_t request_id, const WireResponse& response,
                            std::string* out,
                            uint16_t version = kProtocolVersion);

@@ -1128,12 +1128,17 @@ void Server::BuildResponses(std::vector<PendingFrame>* frames,
     Status status = EncodeResponseFrame((*frames)[i].header.request_id,
                                         responses[i], &encoded);
     if (!status.ok()) {
-      // A name/message too long for the wire; strip the payload rather
-      // than abort — the encode of a bare error cannot fail.
+      // Strip the payload rather than abort; the encode of a bare error
+      // cannot fail. An answer too large for one frame goes back as the
+      // encoder's kResourceExhausted, which names its result count and
+      // encoded size; a name or message too long for a wire string is a
+      // server fault.
       encoded.clear();
       HM_CHECK_OK(EncodeResponseFrame(
           (*frames)[i].header.request_id,
-          ErrorResponse(Status::Internal("response exceeds wire limits")),
+          ErrorResponse(status.code() == StatusCode::kResourceExhausted
+                            ? status
+                            : Status::Internal("response exceeds wire limits")),
           &encoded));
     }
     *out += encoded;

@@ -250,6 +250,13 @@ StatusOr<LoadedSnapshot> DeserializeSnapshotFull(std::string_view data) {
     return Corrupt("narrow snapshot claims more vertices than 16-bit "
                    "records can address");
   }
+  // The same rule for edges, with their record size: ReserveEdges below
+  // sizes the edge array and lookup table from this count.
+  const bool wide = version >= 3;
+  if (num_edges > envelope.second.size() /
+                      (wide ? kWideEdgeRecordSize : kEdgeRecordSize)) {
+    return Corrupt("edge count exceeds snapshot size");
+  }
 
   std::vector<uint32_t> name_lengths(num_vertices);
   for (uint32_t& len : name_lengths) {
@@ -266,8 +273,8 @@ StatusOr<LoadedSnapshot> DeserializeSnapshotFull(std::string_view data) {
   auto graph_or = core::DirectedHypergraph::Create(std::move(names));
   if (!graph_or.ok()) return Corrupt(graph_or.status().message());
   core::DirectedHypergraph graph = std::move(graph_or).value();
+  graph.ReserveEdges(num_edges);
 
-  const bool wide = version >= 3;
   for (uint64_t i = 0; i < num_edges; ++i) {
     std::vector<core::VertexId> tail;
     core::VertexId head = core::kNoVertex;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <random>
+#include <set>
 
 #include "util/logging.h"
 
@@ -83,6 +87,114 @@ TEST(HypergraphTest, FindEdgeIgnoresTailOrder) {
   std::vector<VertexId> other = {1, 2};
   EXPECT_FALSE(g.FindEdge(other, 0).has_value());
   EXPECT_FALSE(g.FindEdge(sorted_query, 4).has_value());
+}
+
+/// (sorted tail padded with kNoVertex, head): the oracle's edge key.
+using Combo = std::array<VertexId, kMaxTailSize + 1>;
+
+Combo MakeCombo(std::vector<VertexId> tail, VertexId head) {
+  std::sort(tail.begin(), tail.end());
+  Combo combo = {kNoVertex, kNoVertex, kNoVertex, head};
+  std::copy(tail.begin(), tail.end(), combo.begin());
+  return combo;
+}
+
+/// Checks `g` against the oracle: edge i is (tails[i], heads[i]), and
+/// `present` holds exactly those combinations out of `universe`.
+void ExpectMatchesOracle(DirectedHypergraph& g,
+                         const std::vector<std::vector<VertexId>>& tails,
+                         const std::vector<VertexId>& heads,
+                         const std::set<Combo>& present,
+                         const std::vector<Combo>& universe) {
+  ASSERT_EQ(g.num_edges(), tails.size());
+  for (EdgeId id = 0; id < tails.size(); ++id) {
+    std::vector<VertexId> tail = tails[id];
+    std::sort(tail.begin(), tail.end());
+    do {
+      ASSERT_EQ(g.FindEdge(tail, heads[id]), std::optional<EdgeId>(id))
+          << g.EdgeToString(id);
+    } while (std::next_permutation(tail.begin(), tail.end()));
+  }
+  for (const Combo& combo : universe) {
+    if (present.count(combo) > 0) continue;
+    const size_t size = std::find(combo.begin(), combo.begin() + kMaxTailSize,
+                                  kNoVertex) -
+                        combo.begin();
+    ASSERT_FALSE(
+        g.FindEdge({combo.data(), size}, combo[kMaxTailSize]).has_value())
+        << "absent combination found, head " << combo[kMaxTailSize];
+  }
+  for (EdgeId id = 0; id < tails.size(); ++id) {
+    std::vector<VertexId> reversed(tails[id].rbegin(), tails[id].rend());
+    auto again = g.AddEdge(std::move(reversed), heads[id], 0.5);
+    ASSERT_EQ(again.status().code(), StatusCode::kAlreadyExists);
+  }
+  EXPECT_EQ(g.num_edges(), tails.size());
+}
+
+TEST(HypergraphTest, ExactEdgeTableMatchesASetOracle) {
+  // Vertices on both sides of the old 16-bit cap 0xFFFE, few enough that
+  // every (T, H) over them can be enumerated and random draws repeat.
+  std::vector<VertexId> pool = {0, 1, 2, 3, 4, 5};
+  for (VertexId v = 0xFFFE - 6; v < 0xFFFE + 6; ++v) pool.push_back(v);
+  const size_t num_vertices = pool.back() + 1;
+
+  std::vector<Combo> universe;
+  for (VertexId h : pool) {
+    std::vector<VertexId> others;
+    for (VertexId v : pool) {
+      if (v != h) others.push_back(v);
+    }
+    for (size_t i = 0; i < others.size(); ++i) {
+      universe.push_back(MakeCombo({others[i]}, h));
+      for (size_t j = i + 1; j < others.size(); ++j) {
+        universe.push_back(MakeCombo({others[i], others[j]}, h));
+        for (size_t l = j + 1; l < others.size(); ++l) {
+          universe.push_back(MakeCombo({others[i], others[j], others[l]}, h));
+        }
+      }
+    }
+  }
+
+  // 3000 distinct random edges (a fifth of the universe), each tail in
+  // the order it was drawn.
+  std::mt19937 rng(20120401);
+  std::vector<std::vector<VertexId>> tails;
+  std::vector<VertexId> heads;
+  std::vector<double> weights;
+  std::set<Combo> present;
+  while (tails.size() < 3000) {
+    std::vector<VertexId> drawn = pool;
+    std::shuffle(drawn.begin(), drawn.end(), rng);
+    const size_t size = 1 + rng() % kMaxTailSize;
+    std::vector<VertexId> tail(drawn.begin(), drawn.begin() + size);
+    const VertexId head = drawn[size];
+    if (!present.insert(MakeCombo(tail, head)).second) continue;
+    tails.push_back(std::move(tail));
+    heads.push_back(head);
+    weights.push_back(std::uniform_real_distribution<double>(0, 1)(rng));
+  }
+  const size_t n = tails.size();
+
+  // Without a reserve, with one the load outgrows, and with the exact one.
+  for (size_t reserve : {size_t{0}, n / 4, n}) {
+    SCOPED_TRACE(reserve);
+    auto created = DirectedHypergraph::CreateAnonymous(num_vertices);
+    ASSERT_TRUE(created.ok());
+    DirectedHypergraph g = std::move(created).value();
+    if (reserve > 0) g.ReserveEdges(reserve);
+    EXPECT_FALSE(g.FindEdge(tails[0], heads[0]).has_value());
+    for (EdgeId id = 0; id < n; ++id) {
+      auto added = g.AddEdge(tails[id], heads[id], weights[id]);
+      ASSERT_TRUE(added.ok()) << added.status().ToString();
+      ASSERT_EQ(*added, id);
+    }
+    DirectedHypergraph copy = g;
+    DirectedHypergraph filtered = g.FilteredByWeight(0.0);
+    ExpectMatchesOracle(g, tails, heads, present, universe);
+    ExpectMatchesOracle(copy, tails, heads, present, universe);
+    ExpectMatchesOracle(filtered, tails, heads, present, universe);
+  }
 }
 
 TEST(HypergraphTest, WeightedDegreesFollowSection52) {

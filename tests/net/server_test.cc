@@ -295,6 +295,44 @@ TEST(ServerTest, OversizedPayloadIsRejectedButConnectionSurvives) {
   EXPECT_EQ(small->code, StatusCode::kOk);
 }
 
+TEST(ServerTest, ClosureAboveTheFrameCapIsAnsweredInBand) {
+  // Star model: seed "s" fires 300 rules whose heads have 60,000-byte
+  // names, so the legal closure of {s} encodes to ~18 MB, above the
+  // 16 MiB protocol cap that every receiver treats as corruption.
+  constexpr size_t kHeads = 300;
+  std::vector<std::string> names = {"s"};
+  for (size_t i = 0; i < kHeads; ++i) {
+    names.push_back(std::to_string(i) + std::string(60000, 'h'));
+  }
+  auto graph = core::DirectedHypergraph::Create(std::move(names));
+  HM_CHECK_OK(graph.status());
+  for (core::VertexId h = 1; h <= kHeads; ++h) {
+    HM_CHECK_OK(graph->AddEdge({0}, h, 0.9).status());
+  }
+  api::Engine engine(api::Model::FromGraph(std::move(graph).value(), {}));
+  auto server = StartOrDie(&engine);
+  Client client = ConnectOrDie(server->port());
+
+  api::QueryRequest closure = Named({"s"});
+  closure.kind = api::QueryRequest::Kind::kReachable;
+  closure.min_acv = 0.5;
+  auto big = client.Query(closure);
+  ASSERT_TRUE(big.ok()) << big.status();
+  EXPECT_EQ(big->code, StatusCode::kResourceExhausted);
+  // 18-byte preamble, 3 bytes for "s", 300 x (2 + 60,000) for the
+  // heads plus 790 digits of their indices.
+  EXPECT_NE(big->message.find("301 results encodes to 18001411 bytes"),
+            std::string::npos)
+      << big->message;
+  EXPECT_TRUE(big->closure.empty());
+
+  // No oversized frame went out, so the connection is still framed.
+  auto next = client.Query(Named({"s"}, /*k=*/1));
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->code, StatusCode::kOk);
+  ASSERT_EQ(next->ranked.size(), 1u);
+}
+
 TEST(ServerTest, UnknownProtocolVersionGetsUnimplementedNotDropped) {
   api::Engine engine(NamedModel());
   auto server = StartOrDie(&engine);

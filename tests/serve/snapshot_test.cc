@@ -346,6 +346,24 @@ TEST(SnapshotTest, NanWeightIsCorrupted) {
             StatusCode::kCorrupted);
 }
 
+TEST(SnapshotTest, EdgeCountBeyondTheBodyIsCorrupted) {
+  core::DirectedHypergraph graph = Named({"a", "b"});
+  ASSERT_TRUE(graph.AddEdge({0}, 1, 0.5).ok());
+  std::string snap = SerializeSnapshot(graph);
+  // The edge count follows the vertex count at the start of the body.
+  const uint64_t claimed = uint64_t{1} << 40;
+  std::memcpy(&snap[24 + 8], &claimed, sizeof(claimed));
+  const uint64_t checksum = BodyChecksum(std::string_view(snap).substr(24));
+  std::memcpy(&snap[16], &checksum, sizeof(checksum));
+  // Rejected from the header alone: sizing the edge table from this count
+  // would ask for terabytes.
+  auto loaded = DeserializeSnapshot(snap);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorrupted);
+  EXPECT_NE(loaded.status().message().find("edge count exceeds"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
 /// Serializes `graph` in the retired version-1 wire format (no spec
 /// trailer) so backward compatibility stays pinned even though the writer
 /// only emits v2 now.
