@@ -1,4 +1,5 @@
-/// Ablation for the candidate-generation choice documented in DESIGN.md:
+/// Ablation for the candidate-generation choice documented in
+/// docs/architecture.md ("Building a model: the pipeline"):
 /// restricting 2-to-1 candidates to pairs of γ-significant sources (the
 /// default) versus enumerating all attribute pairs (the literal reading of
 /// Section 3.2.1). Runs at reduced scale because the unrestricted
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
   using namespace hypermine::bench;
   BenchOptions options = ParseBenchArgs(
       argc, argv, "bench_ablation_candidates",
-      "DESIGN.md candidate-restriction ablation (Section 3.2.1)");
+      "candidate-restriction ablation (Section 3.2.1; docs/architecture.md)");
   Run(options);
   return 0;
 }

@@ -1,6 +1,7 @@
 // Model-construction throughput harness (ISSUE 2): wall time of serial vs
-// parallel BuildAssociationHypergraph, candidate-evaluation rate, and the
-// fused-vs-per-pair edge-kernel speedup, on a synthetic correlated
+// parallel BuildAssociationHypergraph with its per-phase split (pack,
+// stage 1, stage 2, merge from BuildStats), candidate-evaluation rate, and
+// the fused-vs-per-pair edge-kernel speedup, on a synthetic correlated
 // database. Emits BENCH_build.json so the construction-path perf
 // trajectory is tracked the same way BENCH_serve.json tracks serving.
 //
@@ -94,6 +95,14 @@ double TimedBuild(const core::Database& db, core::HypergraphConfig config,
     if (r + 1 == repeat) *out_graph = std::move(graph).value();
   }
   return best;
+}
+
+/// The build's phase times as JSON members, from the last timed repeat.
+std::string PhaseJson(const core::BuildStats& stats) {
+  return StrFormat(
+      "\"pack_s\": %.6f, \"stage1_s\": %.6f, \"stage2_s\": %.6f, "
+      "\"merge_s\": %.6f",
+      stats.pack_s, stats.stage1_s, stats.stage2_s, stats.merge_s);
 }
 
 void CheckIdentical(const core::DirectedHypergraph& a,
@@ -479,6 +488,14 @@ int Main(int argc, char** argv) {
   std::printf("build speedup: %.2fx (%zu hardware threads); "
               "%.0f candidates/sec; builds bit-identical\n",
               speedup, ThreadPool::HardwareThreads(), cps);
+  for (const auto& [name, phases] :
+       {std::pair{"serial", &serial_stats},
+        std::pair{"parallel", &parallel_stats}}) {
+    std::printf("%s phases: pack %.2f ms, stage 1 %.2f ms, stage 2 %.2f ms, "
+                "merge %.2f ms\n",
+                name, phases->pack_s * 1e3, phases->stage1_s * 1e3,
+                phases->stage2_s * 1e3, phases->merge_s * 1e3);
+  }
   std::printf("stage-1 kernel: per-pair %.2f ms, fused byte %.2f ms, "
               "fused bit-plane %.2f ms incl. packing (%.2fx vs per-pair, "
               "all bit-identical)\n",
@@ -564,8 +581,8 @@ int Main(int argc, char** argv) {
       "  \"pair_candidates\": %zu,\n"
       "  \"edges_kept\": %zu,\n"
       "  \"pairs_kept\": %zu,\n"
-      "  \"serial\": {\"seconds\": %.4f},\n"
-      "  \"parallel\": {\"threads\": %zu, \"seconds\": %.4f},\n"
+      "  \"serial\": {\"seconds\": %.4f, %s},\n"
+      "  \"parallel\": {\"threads\": %zu, \"seconds\": %.4f, %s},\n"
       "  \"build_speedup\": %.3f,\n"
       "  \"candidates_per_sec\": %.0f,\n"
       "  \"fused_kernel\": {\"per_pair_ms\": %.3f, \"fused_byte_ms\": %.3f, "
@@ -578,7 +595,8 @@ int Main(int argc, char** argv) {
       smoke ? "true" : "false", simd, ThreadPool::HardwareThreads(),
       parallel_stats.edge_candidates, parallel_stats.pair_candidates,
       parallel_stats.edges_kept, parallel_stats.pairs_kept, serial_s,
-      threads, parallel_s, speedup, cps, kernel.per_pair_ms,
+      PhaseJson(serial_stats).c_str(), threads, parallel_s,
+      PhaseJson(parallel_stats).c_str(), speedup, cps, kernel.per_pair_ms,
       kernel.fused_byte_ms, kernel.fused_ms, kernel.speedup,
       tier_json.c_str(), large_json.c_str());
   HM_CHECK_OK(WriteStringToFile(out_path, json));

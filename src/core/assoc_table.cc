@@ -1,9 +1,11 @@
 #include "core/assoc_table.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <sstream>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -261,38 +263,127 @@ void AcvEdgeBlockKernel(const uint64_t* tail_planes,
                      simd::ActiveOps(), out_acv);
 }
 
-double AcvPairKernel(const uint64_t* tail1_planes,
-                     const uint64_t* tail2_planes,
-                     const uint64_t* head_planes, size_t m, size_t k,
-                     const simd::Ops& ops, uint64_t* scratch) {
+void EdgeTableKernel(const uint64_t* tail_planes, const uint64_t* head_planes,
+                     size_t m, size_t k, const simd::Ops& ops,
+                     uint32_t* table) {
   const size_t words = PlaneWords(m);
-  size_t acc = 0;
-  for (size_t v1 = 0; v1 < k; ++v1) {
-    const uint64_t* p1 = tail1_planes + v1 * words;
-    for (size_t v2 = 0; v2 < k; ++v2) {
-      const uint64_t* p2 = tail2_planes + v2 * words;
-      size_t row_total = ops.and_store_popcount(p1, p2, scratch, words);
-      if (row_total == 0) continue;  // empty tail combination, max is 0
-      size_t best = 0;
-      size_t seen = 0;
-      for (size_t h = 0; h + 1 < k; ++h) {
-        size_t c = ops.popcount_and(scratch, head_planes + h * words, words);
-        seen += c;
-        best = std::max(best, c);
-      }
-      best = std::max(best, row_total - seen);
-      acc += best;
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t l = 0; l < k; ++l) {
+      table[i * k + l] = static_cast<uint32_t>(ops.popcount_and(
+          tail_planes + i * words, head_planes + l * words, words));
     }
   }
-  return static_cast<double>(acc) / static_cast<double>(m);
 }
 
-double AcvPairKernel(const uint64_t* tail1_planes,
-                     const uint64_t* tail2_planes,
-                     const uint64_t* head_planes, size_t m, size_t k,
-                     uint64_t* scratch) {
-  return AcvPairKernel(tail1_planes, tail2_planes, head_planes, m, k,
-                       simd::ActiveOps(), scratch);
+void PairJointPlanes(const uint64_t* a_planes, const uint64_t* b_planes,
+                     size_t m, size_t k, const simd::Ops& ops,
+                     uint64_t* joint, uint32_t* joint_counts) {
+  const size_t words = PlaneWords(m);
+  const size_t last = k - 1;
+  for (size_t i = 0; i < last; ++i) {
+    for (size_t j = 0; j < last; ++j) {
+      const size_t cell = i * last + j;
+      joint_counts[cell] = static_cast<uint32_t>(
+          ops.and_store_popcount(a_planes + i * words, b_planes + j * words,
+                                 joint + cell * words, words));
+    }
+  }
+}
+
+namespace {
+
+/// AcvPairMarginalKernel's integer sum for k = kLast + 1. The loop bounds
+/// are compile-time constants, so the bookkeeping around the (k-1)³
+/// popcounts unrolls and stays in registers.
+template <size_t kLast>
+size_t PairMarginalCount(const uint64_t* joint, const uint32_t* joint_counts,
+                         const uint64_t* head_planes, const uint32_t* ah_table,
+                         const uint32_t* bh_table, size_t words,
+                         const simd::Ops& ops) {
+  constexpr size_t k = kLast + 1;
+  // b_seen[j][l] = sum over i < kLast of N[i][j][l]; corner[l] = sum over
+  // i < kLast of N[i][kLast][l].
+  size_t b_seen[kLast][k] = {};
+  size_t corner[k] = {};
+  size_t acc = 0;
+  for (size_t i = 0; i < kLast; ++i) {
+    // a_seen[l] = sum over j < kLast of N[i][j][l].
+    size_t a_seen[k] = {};
+    // Rows (i, j) with j < kLast: count the head values below kLast, and
+    // take N[i][j][kLast] from the joint count.
+    for (size_t j = 0; j < kLast; ++j) {
+      const size_t cell = i * kLast + j;
+      if (joint_counts[cell] == 0) continue;  // an empty row adds nothing
+      const uint64_t* plane = joint + cell * words;
+      size_t seen = 0;
+      size_t best = 0;
+      for (size_t l = 0; l < kLast; ++l) {
+        const size_t c = ops.popcount_and(plane, head_planes + l * words,
+                                          words);
+        seen += c;
+        best = std::max(best, c);
+        a_seen[l] += c;
+        b_seen[j][l] += c;
+      }
+      const size_t c = joint_counts[cell] - seen;
+      best = std::max(best, c);
+      a_seen[kLast] += c;
+      b_seen[j][kLast] += c;
+      acc += best;
+    }
+    // Row (i, kLast): the rest of the (a, h) table's row i.
+    size_t best = 0;
+    for (size_t l = 0; l < k; ++l) {
+      const size_t c = ah_table[i * k + l] - a_seen[l];
+      corner[l] += c;
+      best = std::max(best, c);
+    }
+    acc += best;
+  }
+  // Rows (kLast, j): the rest of the (b, h) table's row j.
+  for (size_t j = 0; j < kLast; ++j) {
+    size_t best = 0;
+    for (size_t l = 0; l < k; ++l) {
+      best = std::max(best, bh_table[j * k + l] - b_seen[j][l]);
+    }
+    acc += best;
+  }
+  // Row (kLast, kLast): the rest of the (b, h) table's last row.
+  size_t best = 0;
+  for (size_t l = 0; l < k; ++l) {
+    best = std::max(best, bh_table[kLast * k + l] - corner[l]);
+  }
+  return acc + best;
+}
+
+using PairMarginalCountFn = size_t (*)(const uint64_t*, const uint32_t*,
+                                       const uint64_t*, const uint32_t*,
+                                       const uint32_t*, size_t,
+                                       const simd::Ops&);
+
+template <size_t... kLast>
+constexpr std::array<PairMarginalCountFn, sizeof...(kLast)>
+PairMarginalCounts(std::index_sequence<kLast...>) {
+  return {&PairMarginalCount<kLast + 1>...};
+}
+
+/// kPairMarginalCount[k - 2] serves k in [2, kMaxPlaneKernelValues].
+constexpr auto kPairMarginalCount = PairMarginalCounts(
+    std::make_index_sequence<kMaxPlaneKernelValues - 1>());
+
+}  // namespace
+
+double AcvPairMarginalKernel(const uint64_t* joint,
+                             const uint32_t* joint_counts,
+                             const uint64_t* head_planes,
+                             const uint32_t* ah_table,
+                             const uint32_t* bh_table, size_t m, size_t k,
+                             const simd::Ops& ops) {
+  HM_CHECK(k >= 2 && k <= kMaxPlaneKernelValues);
+  const size_t acc = kPairMarginalCount[k - 2](
+      joint, joint_counts, head_planes, ah_table, bh_table, PlaneWords(m),
+      ops);
+  return static_cast<double>(acc) / static_cast<double>(m);
 }
 
 }  // namespace hypermine::core

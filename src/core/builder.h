@@ -27,8 +27,9 @@ struct HypergraphConfig {
   double gamma_hyper = 1.05;
   /// When true (default), 2-to-1 candidates are restricted to pairs of
   /// attributes that each formed a γ-significant directed edge into the
-  /// head. This is the scalability choice documented in DESIGN.md; setting
-  /// it false enumerates all attribute pairs (the literal reading of
+  /// head. This is the scalability choice explained in
+  /// docs/architecture.md ("Building a model: the pipeline"); setting it
+  /// false enumerates all attribute pairs (the literal reading of
   /// Section 3.2.1) at O(n^3 m) cost — see bench_ablation_candidates.
   bool restrict_pairs_to_edges = true;
   /// When true, also admits a 2-to-1 hyperedge whose constituent edges were
@@ -36,10 +37,12 @@ struct HypergraphConfig {
   /// against them (only meaningful with restrict_pairs_to_edges = false).
   bool keep_pairs_without_edges = true;
   /// Worker threads for model construction; 0 = hardware concurrency,
-  /// 1 = fully serial. Any value produces a bit-identical hypergraph,
-  /// stats, and CSV export: workers only fill per-head candidate buffers
-  /// and a serial merge inserts edges in the serial-build order (covered
-  /// by tests/core/builder_parallel_test.cc).
+  /// 1 = fully serial. Both parallel stages run on one pool: Stage 1 over
+  /// blocks of heads, Stage 2 over tails. Any value produces a
+  /// bit-identical hypergraph, stats, and CSV export: workers only fill
+  /// per-head source lists and per-tail verdict lists, and a serial merge
+  /// inserts edges in the serial-build order (covered by
+  /// tests/core/builder_parallel_test.cc).
   size_t num_threads = 0;
 };
 
@@ -48,7 +51,7 @@ HypergraphConfig ConfigC1();
 /// Configuration C2 of Section 5.1.2: k=5, γ_{1→1}=1.20, γ_{2→1}=1.12.
 HypergraphConfig ConfigC2();
 
-/// Number of heads per cache-blocked group of the construction hot loop:
+/// Number of heads per cache-blocked group of Stage 1 (directed edges):
 /// large enough to amortize tail scans across the block, small enough that
 /// the block's contingency tables (or head planes) stay cache-resident.
 /// Exposed for bench_build_throughput, which mirrors the builder's
@@ -65,6 +68,13 @@ struct BuildStats {
   double mean_edge_acv = 0.0;
   double mean_pair_acv = 0.0;
   double elapsed_seconds = 0.0;
+  /// Wall time of each build phase, in order: packing the value planes,
+  /// Stage 1 (directed edges), Stage 2 (2-to-1 candidates) and the serial
+  /// merge. Their sum is at most elapsed_seconds.
+  double pack_s = 0.0;
+  double stage1_s = 0.0;
+  double stage2_s = 0.0;
+  double merge_s = 0.0;
 
   std::string ToString() const;
 };

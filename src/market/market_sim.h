@@ -86,11 +86,12 @@ struct MarketPanel {
 /// tercile-quantized version (producers only by default). Prices follow
 /// P_{t+1} = P_t * (1 + r) with r clamped to (-0.25, 0.25).
 ///
-/// The substitution rationale (DESIGN.md): the paper's algorithms consume
-/// only discretized delta series, and this model reproduces the association
-/// structure the evaluation depends on — strong within-sector co-movement,
-/// demand-driven cross-sector links from consumers to producers, predictable
-/// low-noise producers, and noisy consumer series.
+/// The substitution rationale (docs/architecture.md, "Building a model:
+/// the pipeline"): the paper's algorithms consume only discretized delta
+/// series, and this model reproduces the association structure the
+/// evaluation depends on — strong within-sector co-movement, demand-driven
+/// cross-sector links from consumers to producers, predictable low-noise
+/// producers, and noisy consumer series.
 StatusOr<MarketPanel> SimulateMarket(const MarketConfig& config);
 
 /// Tercile quantization of a standardized value: maps to the conditional

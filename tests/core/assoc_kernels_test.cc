@@ -1,7 +1,9 @@
 // Fuzz-style coverage for the low-level ACV kernels: the fused multi-head
 // edge kernel and the scratch-buffer pair kernel must agree with the
 // reference AssociationTable::Build(...).acv() on random inputs, and
-// bit-exactly with their unfused/allocating counterparts.
+// bit-exactly with their unfused/allocating counterparts. The plane
+// kernels, the builder's Stage-2 pair kernel included, must match the byte
+// kernels bit for bit on every SIMD tier.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -180,19 +182,6 @@ TEST(AcvKernelsTest, PlaneKernelsMatchByteKernelsOnRandomInputs) {
           << "trial " << trial << " head " << j;
     }
 
-    // Pair kernel vs the byte pair kernel, bit-exact.
-    std::vector<size_t> ids = rng.SampleIndices(n, 3);
-    std::vector<uint64_t> word_scratch(PlaneWords(m), 0xABCD);
-    double plane_pair = AcvPairKernel(
-        &planes[ids[0] * per_col], &planes[ids[1] * per_col],
-        &planes[ids[2] * per_col], m, k, word_scratch.data());
-    EXPECT_EQ(plane_pair,
-              AcvPairKernel(db.column(static_cast<AttrId>(ids[0])).data(),
-                            db.column(static_cast<AttrId>(ids[1])).data(),
-                            db.column(static_cast<AttrId>(ids[2])).data(),
-                            m, k))
-        << "trial " << trial;
-
     // Every SIMD tier this host supports must agree bit-exactly with the
     // byte oracle — the integer counts are identical by construction, so
     // any deviation is a vectorization bug, not a tolerance question.
@@ -205,13 +194,82 @@ TEST(AcvKernelsTest, PlaneKernelsMatchByteKernelsOnRandomInputs) {
         EXPECT_EQ(tier_acv[j], acv[j])
             << "tier " << ops.name << " trial " << trial << " head " << j;
       }
-      std::vector<uint64_t> tier_scratch(PlaneWords(m), 0x1234);
-      EXPECT_EQ(AcvPairKernel(&planes[ids[0] * per_col],
-                              &planes[ids[1] * per_col],
-                              &planes[ids[2] * per_col], m, k, ops,
-                              tier_scratch.data()),
-                plane_pair)
-          << "tier " << ops.name << " trial " << trial;
+    }
+  }
+}
+
+/// A column whose values come from a random non-empty subset of the k
+/// values, copying `source` (when given) with probability 1/2: some value
+/// combinations then never occur, including ones with the last value,
+/// whose cells the pair kernel derives rather than counts.
+std::vector<ValueId> SparseColumn(Rng* rng, size_t m, size_t k,
+                                  const std::vector<ValueId>* source) {
+  std::vector<ValueId> allowed;
+  while (allowed.empty()) {
+    for (size_t v = 0; v < k; ++v) {
+      if (rng->NextBernoulli(0.6)) allowed.push_back(static_cast<ValueId>(v));
+    }
+  }
+  std::vector<ValueId> col(m);
+  for (size_t o = 0; o < m; ++o) {
+    col[o] = source != nullptr && rng->NextBernoulli(0.5)
+                 ? (*source)[o]
+                 : allowed[rng->NextBounded(allowed.size())];
+  }
+  return col;
+}
+
+/// The k×k (tail, head) table counted byte by byte.
+std::vector<uint32_t> ByteEdgeTable(const std::vector<ValueId>& tail,
+                                    const std::vector<ValueId>& head,
+                                    size_t k) {
+  std::vector<uint32_t> table(k * k, 0);
+  for (size_t o = 0; o < tail.size(); ++o) ++table[tail[o] * k + head[o]];
+  return table;
+}
+
+TEST(AcvKernelsTest, PairMarginalKernelMatchesBytePairKernelOnEveryTier) {
+  Rng rng(1606);
+  std::vector<size_t> row_counts = {1, 63, 64, 65};
+  for (int extra = 0; extra < 4; ++extra) {
+    row_counts.push_back(1 + rng.NextBounded(400));
+  }
+  for (simd::Tier tier : simd::SupportedTiers()) {
+    const simd::Ops& ops = simd::OpsForTier(tier);
+    for (size_t k = 2; k <= kMaxPlaneKernelValues; ++k) {
+      for (size_t m : row_counts) {
+        for (int trial = 0; trial < 6; ++trial) {
+          SCOPED_TRACE(::testing::Message()
+                       << "tier " << ops.name << " k " << k << " m " << m
+                       << " trial " << trial);
+          const std::vector<ValueId> a = SparseColumn(&rng, m, k, nullptr);
+          const std::vector<ValueId> b = SparseColumn(&rng, m, k, &a);
+          const std::vector<ValueId> h =
+              SparseColumn(&rng, m, k, trial % 2 == 0 ? &a : &b);
+          const size_t per_col = ValuePlanesSize(k, m);
+          std::vector<uint64_t> planes(3 * per_col);
+          PackValuePlanes(a.data(), m, k, &planes[0]);
+          PackValuePlanes(b.data(), m, k, &planes[per_col]);
+          PackValuePlanes(h.data(), m, k, &planes[2 * per_col]);
+
+          const std::vector<uint32_t> ah = ByteEdgeTable(a, h, k);
+          const std::vector<uint32_t> bh = ByteEdgeTable(b, h, k);
+          std::vector<uint32_t> table(k * k, 0xFFFF);
+          EdgeTableKernel(&planes[0], &planes[2 * per_col], m, k, ops,
+                          table.data());
+          EXPECT_EQ(table, ah);
+
+          // Dirty buffers: the kernel must overwrite every word it reads.
+          std::vector<uint64_t> joint(PairJointWords(k, m), 0xABCDu);
+          std::vector<uint32_t> joint_counts((k - 1) * (k - 1), 77);
+          PairJointPlanes(&planes[0], &planes[per_col], m, k, ops,
+                          joint.data(), joint_counts.data());
+          EXPECT_EQ(AcvPairMarginalKernel(joint.data(), joint_counts.data(),
+                                          &planes[2 * per_col], ah.data(),
+                                          bh.data(), m, k, ops),
+                    AcvPairKernel(a.data(), b.data(), h.data(), m, k));
+        }
+      }
     }
   }
 }

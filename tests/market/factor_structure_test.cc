@@ -1,6 +1,6 @@
 /// Structural tests of the factor model that back the substitution argument
-/// of DESIGN.md: segmented demand, role asymmetries, and robustness of the
-/// price recursion.
+/// of docs/architecture.md ("Building a model: the pipeline"): segmented
+/// demand, role asymmetries, and robustness of the price recursion.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,7 +28,7 @@ MarketPanel Simulate(size_t series, size_t years, uint64_t seed) {
 TEST(FactorStructureTest, ConsumerNichesDecorrelateConsumers) {
   // Consumers track distinct demand segments: their mutual correlation
   // must sit well below consumer-producer correlation (the directional
-  // mechanism behind Figure 5.1, see DESIGN.md).
+  // mechanism behind Figure 5.1, see docs/architecture.md).
   MarketPanel panel = Simulate(120, 4, 31);
   std::vector<std::vector<double>> deltas(panel.num_series());
   for (size_t i = 0; i < panel.num_series(); ++i) {
