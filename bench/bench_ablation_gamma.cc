@@ -18,9 +18,8 @@ void Run(const BenchOptions& options) {
   auto db = core::DiscretizePanel(*panel, 3);
   HM_CHECK_OK(db.status());
 
-  // Ten builds over one database: pack the value planes once and reuse the
-  // artifact for every gamma setting (the workload the plane artifact
-  // exists for; each build skips its packing pass).
+  // Ten builds over one database: pack the value planes once and reuse
+  // them for every gamma setting (each build skips its packing pass).
   const core::ValuePlanes planes = core::PackDatabasePlanes(*db);
 
   TablePrinter table({"gamma_edge", "gamma_hyper", "edges", "2-to-1",

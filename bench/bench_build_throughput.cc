@@ -21,8 +21,8 @@
 //
 // --large adds the wide-id workload: a >=100k-attribute database (well
 // past the old 0xFFFE-vertex cap) with per-tier sampled stage-1
-// candidate throughput, the plane-artifact pack-vs-reuse speedup, and a
-// wide-graph snapshot round-trip.
+// candidate throughput, the pack-vs-reuse speedup of packed value planes,
+// and a wide-graph snapshot round-trip.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -37,7 +37,6 @@
 #include "core/export.h"
 #include "core/simd.h"
 #include "core/value_planes.h"
-#include "serve/plane_artifact.h"
 #include "serve/snapshot.h"
 #include "util/csv.h"
 #include "util/flags.h"
@@ -309,7 +308,7 @@ struct LargeStats {
   double reuse_lookup_ms = 0.0;
   /// Per-sweep-iteration cost ratio: (pack + kernels) / (reuse + kernels)
   /// on the active tier — what a gamma sweep over this database saves per
-  /// build by reusing the plane artifact.
+  /// build by reusing planes packed once.
   double pack_reuse_speedup = 0.0;
   std::vector<LargeTierThroughput> tiers;
   bool wide_snapshot_ok = false;
@@ -318,7 +317,7 @@ struct LargeStats {
 /// The >=100k-vertex workload. A full O(n^2) stage-1 pass over 100k
 /// attributes is ~1e10 candidate evaluations — days on one core — so the
 /// per-tier throughput is measured on a sampled slice (every sample size
-/// is reported; nothing is silently capped) while packing, artifact reuse,
+/// is reported; nothing is silently capped) while packing, plane reuse,
 /// and the wide-id graph/snapshot round-trip run on the full database.
 LargeStats RunLargeMode(size_t attrs, size_t rows, size_t k,
                         size_t repeat) {
@@ -332,17 +331,14 @@ LargeStats RunLargeMode(size_t attrs, size_t rows, size_t k,
               rows);
   core::Database db = MakeDatabase(attrs, rows, k, 20120402);
 
-  // Pack-vs-reuse through the serve-layer cache: the first lookup packs,
-  // the second hits the in-memory artifact.
-  serve::PlaneCache cache;
+  // Pack once; a reuse costs the content check the builder makes before
+  // it takes supplied planes (dimensions plus the database fingerprint).
   Stopwatch pack_timer;
-  std::shared_ptr<const core::ValuePlanes> planes = cache.GetOrPack(db);
+  const core::ValuePlanes planes = core::PackDatabasePlanes(db);
   stats.pack_ms = pack_timer.ElapsedMillis();
   Stopwatch reuse_timer;
-  planes = cache.GetOrPack(db);
+  HM_CHECK(planes.Matches(db));
   stats.reuse_lookup_ms = reuse_timer.ElapsedMillis();
-  HM_CHECK_EQ(cache.stats().packs, size_t{1});
-  HM_CHECK_EQ(cache.stats().memory_hits, size_t{1});
 
   // Sampled stage-1 slice: a handful of tails against a head prefix.
   stats.sampled_tails = std::min<size_t>(32, attrs);
@@ -362,10 +358,10 @@ LargeStats RunLargeMode(size_t attrs, size_t rows, size_t k,
       for (size_t h0 = 0; h0 < stats.sampled_heads; h0 += block) {
         const size_t width = std::min(block, stats.sampled_heads - h0);
         for (size_t j = 0; j < width; ++j) {
-          heads[j] = planes->planes_of(h0 + j);
+          heads[j] = planes.planes_of(h0 + j);
         }
         for (size_t t = 0; t < stats.sampled_tails; ++t) {
-          core::AcvEdgeBlockKernel(planes->planes_of(t), heads.data(),
+          core::AcvEdgeBlockKernel(planes.planes_of(t), heads.data(),
                                    width, m, k, ops, out.data());
           for (size_t j = 0; j < width; ++j) {
             tier_acv[t * stats.sampled_heads + h0 + j] = out[j];
@@ -408,14 +404,15 @@ LargeStats RunLargeMode(size_t attrs, size_t rows, size_t k,
                             2, 0.5)
                   .status());
   const std::string snap = serve::SerializeSnapshot(*graph);
-  auto reloaded = serve::DeserializeSnapshot(snap);
-  HM_CHECK_OK(reloaded.status());
+  auto loaded = serve::DeserializeSnapshotFull(snap);
+  HM_CHECK_OK(loaded.status());
+  const core::DirectedHypergraph& reloaded = loaded->graph;
   core::VertexId wide_tail[] = {0x10000};
-  auto found = reloaded->FindEdge(wide_tail, 1);
+  auto found = reloaded.FindEdge(wide_tail, 1);
   HM_CHECK(found.has_value());
-  HM_CHECK_EQ(reloaded->edge(*found).weight, 0.75);
+  HM_CHECK_EQ(reloaded.edge(*found).weight, 0.75);
   core::VertexId low_tail[] = {0};
-  HM_CHECK_EQ(reloaded->edge(*reloaded->FindEdge(low_tail, 1)).weight, 0.25);
+  HM_CHECK_EQ(reloaded.edge(*reloaded.FindEdge(low_tail, 1)).weight, 0.25);
   stats.wide_snapshot_ok = true;
   return stats;
 }

@@ -57,22 +57,14 @@ using bench::PercentileMs;
 /// The query mix of bench_serve_throughput, converted to names — the only
 /// form the wire accepts (ids are per-model).
 std::vector<api::QueryRequest> NamedQueries(size_t n, size_t vertices) {
-  std::vector<api::QueryRequest> requests;
-  requests.reserve(n);
-  for (const serve::Query& query :
-       serve::RandomServeQueries(n, vertices, 7, /*k=*/10,
-                                 /*reach_every=*/16, /*reach_min_acv=*/0.8)) {
-    api::QueryRequest request;
-    request.names.reserve(query.items.size());
-    for (core::VertexId v : query.items) {
+  std::vector<api::QueryRequest> requests = serve::RandomServeQueries(
+      n, vertices, 7, /*k=*/10, /*reach_every=*/16, /*reach_min_acv=*/0.8);
+  for (api::QueryRequest& request : requests) {
+    request.names.reserve(request.items.size());
+    for (core::VertexId v : request.items) {
       request.names.push_back(StrFormat("v%u", unsigned{v}));
     }
-    request.k = query.k;
-    request.kind = query.kind == serve::Query::Kind::kTopK
-                       ? api::QueryRequest::Kind::kTopK
-                       : api::QueryRequest::Kind::kReachable;
-    request.min_acv = query.min_acv;
-    requests.push_back(std::move(request));
+    request.items.clear();
   }
   return requests;
 }

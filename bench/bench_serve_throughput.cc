@@ -37,23 +37,6 @@ struct RunStats {
 
 using bench::PercentileMs;
 
-std::vector<api::QueryRequest> Convert(
-    const std::vector<serve::Query>& queries) {
-  std::vector<api::QueryRequest> requests;
-  requests.reserve(queries.size());
-  for (const serve::Query& query : queries) {
-    api::QueryRequest request;
-    request.items = query.items;
-    request.k = query.k;
-    request.kind = query.kind == serve::Query::Kind::kTopK
-                       ? api::QueryRequest::Kind::kTopK
-                       : api::QueryRequest::Kind::kReachable;
-    request.min_acv = query.min_acv;
-    requests.push_back(std::move(request));
-  }
-  return requests;
-}
-
 RunStats RunEngine(std::shared_ptr<const api::Model> model,
                    const std::vector<api::QueryRequest>& requests,
                    size_t num_threads, size_t batch_size,
@@ -120,7 +103,7 @@ int Main(int argc, char** argv) {
   HM_CHECK_OK(serve::WriteSnapshot(graph, spec, snap_path));
 
   Stopwatch load_timer;
-  auto model = api::Model::FromSnapshot(snap_path);
+  auto model = api::Model::FromFile(snap_path);
   HM_CHECK_OK(model.status());
   const double load_ms = load_timer.ElapsedMillis();
   auto snap_bytes = ReadFileToString(snap_path);
@@ -133,10 +116,9 @@ int Main(int argc, char** argv) {
               "sets, build %.1f ms\n",
               snap_bytes->size(), load_ms, index.num_tail_sets(), index_ms);
 
-  std::vector<api::QueryRequest> requests =
-      Convert(serve::RandomServeQueries(num_queries, vertices, 7, /*k=*/10,
-                                        /*reach_every=*/16,
-                                        /*reach_min_acv=*/0.8));
+  std::vector<api::QueryRequest> requests = serve::RandomServeQueries(
+      num_queries, vertices, 7, /*k=*/10, /*reach_every=*/16,
+      /*reach_min_acv=*/0.8);
 
   RunStats single = RunEngine(*model, requests, 1, batch, /*cache=*/0);
   RunStats multi = RunEngine(*model, requests, threads, batch, /*cache=*/0);
@@ -155,7 +137,7 @@ int Main(int argc, char** argv) {
     swap_engine.QueryBatch(std::vector<api::QueryRequest>(
         requests.begin() + begin, requests.begin() + end));
   }
-  auto model_b = api::Model::FromSnapshot(snap_path);
+  auto model_b = api::Model::FromFile(snap_path);
   HM_CHECK_OK(model_b.status());
   Stopwatch swap_timer;
   swap_engine.Swap(*model_b);

@@ -4,7 +4,7 @@
 //
 //   raw values -> discretize -> api::ModelSpec (γ-significance parameters
 //   + provenance) -> api::Model::Build (the association hypergraph of
-//   Definition 3.6, ACV-weighted) -> SaveSnapshot/FromSnapshot ->
+//   Definition 3.6, ACV-weighted) -> SaveSnapshot/FromFile ->
 //   api::Engine (top-k consequents ranked by ACV, hot-swappable).
 //
 //   ./quickstart
@@ -90,7 +90,7 @@ int main() {
                                            : "/tmp") +
                            "/quickstart.snap";
   HM_CHECK_OK((*built)->SaveSnapshot(snap));
-  auto model = api::Model::FromSnapshot(snap);
+  auto model = api::Model::FromFile(snap);
   HM_CHECK_OK(model.status());
   std::printf("\nreloaded %s\n  built by git_sha=%s from \"%s\"\n",
               snap.c_str(), (*model)->spec().provenance.git_sha.c_str(),

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <utility>
 
 #include "serve/wire.h"
@@ -286,13 +287,8 @@ namespace {
 /// A query any servable model should answer cleanly: the first vertex by
 /// name. Empty models (no vertices) skip the probe — there is nothing to
 /// ask them.
-StatusOr<QueryRequest> ProbeRequest(const Model& model) {
-  if (!model.has_graph()) {
-    return Status::Internal("loaded model has no graph");
-  }
-  if (model.num_vertices() == 0) {
-    return Status::NotFound("model has no vertices to probe");
-  }
+std::optional<QueryRequest> ProbeRequest(const Model& model) {
+  if (model.num_vertices() == 0) return std::nullopt;
   QueryRequest probe;
   probe.names.push_back(model.graph().vertex_name(0));
   probe.k = 1;
@@ -318,13 +314,10 @@ ReloadReport ReloadEngineFromFile(Engine* engine, const std::string& path) {
   // Pre-swap verification: force the lazy index and answer a probe against
   // the model directly. A snapshot that parses but cannot serve must never
   // reach the engine slot.
-  StatusOr<QueryRequest> probe = ProbeRequest(*fresh);
-  if (probe.ok()) {
+  const std::optional<QueryRequest> probe = ProbeRequest(*fresh);
+  if (probe.has_value()) {
     const core::VertexId probe_items[] = {0};
     (void)fresh->index().TopKWithin(probe_items, 1);
-  } else if (probe.status().code() != StatusCode::kNotFound) {
-    report.status = probe.status();
-    return report;
   }
 
   engine->Swap(fresh);
@@ -333,7 +326,7 @@ ReloadReport ReloadEngineFromFile(Engine* engine, const std::string& path) {
   // plumbing). On failure the previous model comes back — serving never
   // sees the bad one again.
   Status live = Status::OK();
-  if (probe.ok()) {
+  if (probe.has_value()) {
     auto answered = engine->Query(*probe);
     live = answered.status();
   }

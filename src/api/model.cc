@@ -7,7 +7,6 @@
 #include "core/export.h"
 #include "serve/snapshot.h"
 #include "util/build_info.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace hypermine::api {
@@ -23,13 +22,12 @@ uint64_t NextVersion() {
 
 }  // namespace
 
-Model::Model(std::optional<core::DirectedHypergraph> graph, ModelSpec spec,
-             core::BuildStats stats, std::optional<serve::RuleIndex> index)
+Model::Model(core::DirectedHypergraph graph, ModelSpec spec,
+             core::BuildStats stats)
     : graph_(std::move(graph)),
       stats_(stats),
       spec_(std::move(spec)),
-      version_(NextVersion()),
-      index_(std::move(index)) {}
+      version_(NextVersion()) {}
 
 StatusOr<std::shared_ptr<const Model>> Model::Build(const core::Database& db,
                                                     ModelSpec spec,
@@ -45,92 +43,48 @@ StatusOr<std::shared_ptr<const Model>> Model::Build(const core::Database& db,
   HM_ASSIGN_OR_RETURN(
       core::DirectedHypergraph graph,
       core::BuildAssociationHypergraph(db, spec.config, &stats, pool));
-  return std::shared_ptr<const Model>(
-      new Model(std::move(graph), std::move(spec), stats, std::nullopt));
-}
-
-StatusOr<std::shared_ptr<const Model>> Model::FromSnapshot(
-    const std::string& path) {
-  HM_ASSIGN_OR_RETURN(serve::LoadedSnapshot loaded,
-                      serve::ReadSnapshotFull(path));
-  return std::shared_ptr<const Model>(
-      new Model(std::move(loaded.graph), std::move(loaded.spec),
-                core::BuildStats{}, std::nullopt));
+  return FromGraph(std::move(graph), std::move(spec), stats);
 }
 
 StatusOr<std::shared_ptr<const Model>> Model::FromFile(
     const std::string& path) {
   HM_ASSIGN_OR_RETURN(serve::LoadedSnapshot loaded,
                       serve::LoadModelFile(path));
-  return std::shared_ptr<const Model>(
-      new Model(std::move(loaded.graph), std::move(loaded.spec),
-                core::BuildStats{}, std::nullopt));
+  return FromGraph(std::move(loaded.graph), std::move(loaded.spec));
 }
 
 std::shared_ptr<const Model> Model::FromGraph(core::DirectedHypergraph graph,
                                               ModelSpec spec,
                                               core::BuildStats stats) {
   return std::shared_ptr<const Model>(
-      new Model(std::move(graph), std::move(spec), stats, std::nullopt));
-}
-
-std::shared_ptr<const Model> Model::FromIndex(serve::RuleIndex index) {
-  return std::shared_ptr<const Model>(new Model(
-      std::nullopt, ModelSpec{}, core::BuildStats{}, std::move(index)));
+      new Model(std::move(graph), std::move(spec), stats));
 }
 
 Status Model::SaveSnapshot(const std::string& path) const {
-  if (!has_graph()) {
-    return Status::FailedPrecondition(
-        "model: index-only models (deprecated shim path) cannot be "
-        "snapshotted");
-  }
-  return serve::WriteSnapshot(*graph_, spec_, path);
+  return serve::WriteSnapshot(graph_, spec_, path);
 }
 
 Status Model::ExportCsv(const std::string& path) const {
-  if (!has_graph()) {
-    return Status::FailedPrecondition(
-        "model: index-only models (deprecated shim path) cannot be "
-        "exported");
-  }
-  return core::WriteHypergraphCsv(*graph_, path);
-}
-
-const core::DirectedHypergraph& Model::graph() const {
-  HM_CHECK(graph_.has_value());
-  return *graph_;
+  return core::WriteHypergraphCsv(graph_, path);
 }
 
 const serve::RuleIndex& Model::index() const {
-  std::call_once(index_once_, [this] {
-    if (!index_.has_value()) {
-      index_ = serve::RuleIndex::Build(*graph_);
-    }
-  });
+  std::call_once(index_once_,
+                 [this] { index_ = serve::RuleIndex::Build(graph_); });
   return *index_;
 }
 
 std::optional<core::VertexId> Model::FindVertex(std::string_view name) const {
-  if (!has_graph()) return std::nullopt;
   std::call_once(names_once_, [this] {
-    name_index_.reserve(graph_->num_vertices());
+    name_index_.reserve(graph_.num_vertices());
     for (core::VertexId v = 0;
-         v < static_cast<core::VertexId>(graph_->num_vertices()); ++v) {
-      name_index_.emplace(graph_->vertex_name(v), v);
+         v < static_cast<core::VertexId>(graph_.num_vertices()); ++v) {
+      name_index_.emplace(graph_.vertex_name(v), v);
     }
   });
   auto it = name_index_.find(name);
   if (it == name_index_.end()) return std::nullopt;
   return it->second;
-}
-
-size_t Model::num_vertices() const {
-  return has_graph() ? graph_->num_vertices() : index().num_vertices();
-}
-
-size_t Model::num_edges() const {
-  return has_graph() ? graph_->num_edges() : index().num_entries();
 }
 
 std::string Model::ToString() const {

@@ -26,8 +26,8 @@ namespace hypermine::api {
 /// An immutable, servable association model: the γ-significant directed
 /// hypergraph (Definition 3.6), the stats of its construction, the
 /// ModelSpec that produced it, and a lazily built serve::RuleIndex for
-/// answering queries. Models are created built (Build) or loaded
-/// (FromSnapshot / FromFile) and handed around as shared_ptr<const Model>,
+/// answering queries. Models are created built (Build), loaded (FromFile)
+/// or wrapped (FromGraph) and handed around as shared_ptr<const Model>,
 /// which is what makes api::Engine's hot swap safe: in-flight queries keep
 /// the old model alive while new callers already see the new one.
 ///
@@ -44,14 +44,11 @@ class Model {
   static StatusOr<std::shared_ptr<const Model>> Build(
       const core::Database& db, ModelSpec spec, ThreadPool* pool = nullptr);
 
-  /// Loads a model from a binary snapshot (serve/snapshot.h). Version-2
-  /// snapshots restore the full ModelSpec; version-1 snapshots load with a
-  /// default spec.
-  static StatusOr<std::shared_ptr<const Model>> FromSnapshot(
-      const std::string& path);
-
-  /// Loads a model from either a snapshot or a WriteHypergraphCsv file,
-  /// sniffing the format from the leading bytes.
+  /// Loads a model from either a binary snapshot (serve/snapshot.h) or a
+  /// WriteHypergraphCsv file, sniffing the format from the leading bytes.
+  /// Version >= 2 snapshots restore the full ModelSpec; version-1
+  /// snapshots and CSV files load with a default spec. kIoError when the
+  /// file cannot be read.
   static StatusOr<std::shared_ptr<const Model>> FromFile(
       const std::string& path);
 
@@ -61,24 +58,15 @@ class Model {
                                                 ModelSpec spec = {},
                                                 core::BuildStats stats = {});
 
-  /// Wraps a bare RuleIndex. Exists only for the deprecated
-  /// serve::QueryEngine shim, which predates Model and owns no graph;
-  /// graph-dependent methods (graph(), SaveSnapshot, ExportCsv) are
-  /// unavailable on such models.
-  static std::shared_ptr<const Model> FromIndex(serve::RuleIndex index);
-
   /// Persists the model as a binary snapshot, spec trailer included, so a
-  /// FromSnapshot round trip restores both graph and spec.
+  /// FromFile round trip restores both graph and spec.
   Status SaveSnapshot(const std::string& path) const;
 
   /// Exports the graph as WriteHypergraphCsv text (the spec does not fit
   /// the CSV schema and is dropped; snapshots are the lossless format).
   Status ExportCsv(const std::string& path) const;
 
-  /// False only for FromIndex models (deprecated shim path).
-  bool has_graph() const { return graph_.has_value(); }
-  /// Aborts on a FromIndex model; check has_graph() when in doubt.
-  const core::DirectedHypergraph& graph() const;
+  const core::DirectedHypergraph& graph() const { return graph_; }
   const core::BuildStats& stats() const { return stats_; }
   const ModelSpec& spec() const { return spec_; }
   uint64_t version() const { return version_; }
@@ -88,13 +76,11 @@ class Model {
   const serve::RuleIndex& index() const;
 
   /// Resolves a vertex name against this model's graph (lazily built name
-  /// index); nullopt for unknown names and for FromIndex models.
+  /// index); nullopt for unknown names.
   std::optional<core::VertexId> FindVertex(std::string_view name) const;
 
-  /// Sizes of the served graph (FromIndex models report the index's
-  /// vertex universe and entry count instead).
-  size_t num_vertices() const;
-  size_t num_edges() const;
+  size_t num_vertices() const { return graph_.num_vertices(); }
+  size_t num_edges() const { return graph_.num_edges(); }
 
   /// One-line human summary: version, sizes, provenance when present.
   std::string ToString() const;
@@ -103,10 +89,10 @@ class Model {
   Model& operator=(const Model&) = delete;
 
  private:
-  Model(std::optional<core::DirectedHypergraph> graph, ModelSpec spec,
-        core::BuildStats stats, std::optional<serve::RuleIndex> index);
+  Model(core::DirectedHypergraph graph, ModelSpec spec,
+        core::BuildStats stats);
 
-  std::optional<core::DirectedHypergraph> graph_;
+  core::DirectedHypergraph graph_;
   core::BuildStats stats_;
   ModelSpec spec_;
   uint64_t version_ = 0;

@@ -180,8 +180,8 @@ StatusOr<DirectedHypergraph> BuildAssociationHypergraph(
   // For small k, every column is re-coded once as bit planes and both
   // stages count via AND+popcount; large k keeps the byte kernels. Both
   // paths are exact-integer, hence interchangeable bit for bit. A
-  // caller-provided `planes` artifact (γ-sweeps, serve::PlaneCache)
-  // replaces the packing pass after a content check; the packed words are
+  // caller-provided `planes` value (γ-sweeps pack once) replaces the
+  // packing pass after a content check; the packed words are
   // identical either way. The plane path's tables count in 32 bits.
   const bool use_planes = k <= kMaxPlaneKernelValues &&
                           m <= std::numeric_limits<uint32_t>::max();

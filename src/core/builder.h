@@ -94,9 +94,9 @@ struct BuildStats {
 /// not the config, is the resource contract. The result is bit-identical
 /// in every case.
 ///
-/// `planes` optionally supplies pre-packed value planes (PackDatabasePlanes
-/// or a serve::PlaneCache hit) so γ-sweeps over one database skip the
-/// per-build packing pass. The artifact must Match the database —
+/// `planes` optionally supplies value planes packed once by
+/// PackDatabasePlanes, so γ-sweeps over one database skip the per-build
+/// packing pass. The planes must Match the database —
 /// kInvalidArgument otherwise, reuse of stale planes is never silent. Only
 /// consulted on the small-k plane path (k <= kMaxPlaneKernelValues);
 /// ignored on the byte-kernel path. Passing planes never changes the

@@ -16,7 +16,7 @@ namespace hypermine::core {
 /// tail ('|'-separated names), head name, and weight. Round-trips through
 /// ReadHypergraphCsv, including isolated vertices. For the serving path,
 /// serve/snapshot.h provides an equivalent (and interconvertible) binary
-/// format that loads without parsing; serve::LoadHypergraph accepts both.
+/// format that loads without parsing; serve::LoadModelFile accepts both.
 Status WriteHypergraphCsv(const DirectedHypergraph& graph,
                           const std::string& path);
 
@@ -25,7 +25,7 @@ StatusOr<DirectedHypergraph> ReadHypergraphCsv(const std::string& path);
 
 /// Parses WriteHypergraphCsv output from an in-memory buffer (the
 /// file-reading half of ReadHypergraphCsv split out, so callers that
-/// already hold the bytes — e.g. serve::LoadHypergraph's format sniffing —
+/// already hold the bytes — e.g. serve::LoadModelFile's format sniffing —
 /// do not re-read the file).
 StatusOr<DirectedHypergraph> ParseHypergraphCsv(const std::string& text);
 

@@ -5,8 +5,12 @@
 #include "core/assoc_table.h"
 
 namespace hypermine::core {
+namespace {
 
-uint64_t ChunkedFnv1a(const void* data, size_t size, uint64_t seed) {
+/// 64-bit FNV-1a over `size` bytes, consumed eight bytes per step (one
+/// xor+multiply per word instead of per byte) with a byte-at-a-time tail.
+uint64_t ChunkedFnv1a(const void* data, size_t size,
+                      uint64_t seed = 0xcbf29ce484222325ull) {
   constexpr uint64_t kPrime = 0x100000001b3ull;
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
   uint64_t hash = seed;
@@ -24,6 +28,8 @@ uint64_t ChunkedFnv1a(const void* data, size_t size, uint64_t seed) {
   return hash;
 }
 
+/// ValuePlanes::fingerprint of a database: its dimensions plus every
+/// column's bytes, so it changes whenever the packed words would.
 uint64_t DatabaseFingerprint(const Database& db) {
   uint64_t dims[3] = {db.num_attributes(), db.num_observations(),
                       db.num_values()};
@@ -34,6 +40,8 @@ uint64_t DatabaseFingerprint(const Database& db) {
   }
   return hash;
 }
+
+}  // namespace
 
 bool ValuePlanes::Matches(const Database& db) const {
   return num_attributes == db.num_attributes() &&

@@ -9,32 +9,19 @@
 
 namespace hypermine::core {
 
-/// 64-bit FNV-1a over `size` bytes, consumed eight bytes per step (one
-/// xor+multiply per word instead of per byte) with a byte-at-a-time tail.
-/// Shared by the database fingerprint and the serve-layer plane-artifact
-/// checksum; NOT interchangeable with the per-byte FNV-1a of the snapshot
-/// format.
-uint64_t ChunkedFnv1a(const void* data, size_t size,
-                      uint64_t seed = 0xcbf29ce484222325ull);
-
-/// Content fingerprint of a discretized database: dimensions plus every
-/// column's bytes (attribute names excluded — packed planes do not depend
-/// on them). Keys the plane cache and guards reuse: two databases share a
-/// fingerprint iff PackDatabasePlanes would emit the same words.
-uint64_t DatabaseFingerprint(const Database& db);
-
 /// Every column of a database re-coded as bit planes (see the bit-plane
-/// kernel notes in assoc_table.h): the reusable artifact behind repeated
+/// kernel notes in assoc_table.h): the reusable value behind repeated
 /// γ-sweeps. Pack once, then hand the same ValuePlanes to any number of
-/// BuildAssociationHypergraph calls over the same database — or serialize
-/// it via serve/plane_artifact.h and skip packing across processes.
+/// BuildAssociationHypergraph calls over the same database.
 struct ValuePlanes {
   size_t num_attributes = 0;
   size_t num_observations = 0;
   size_t num_values = 0;
   /// PlaneWords(num_observations), denormalized for consumers of `words`.
   size_t words_per_plane = 0;
-  /// DatabaseFingerprint of the source database.
+  /// Content fingerprint of the source database: its dimensions plus
+  /// every column's bytes (attribute names excluded — packed planes do
+  /// not depend on them).
   uint64_t fingerprint = 0;
   /// num_attributes x num_values x words_per_plane, column-major like the
   /// database itself.
@@ -45,7 +32,7 @@ struct ValuePlanes {
     return words.data() + attr * words_per_column();
   }
 
-  /// True when this artifact was packed from a database with `db`'s exact
+  /// True when these planes were packed from a database with `db`'s exact
   /// content (dimensions and fingerprint) — the reuse precondition the
   /// builder enforces.
   bool Matches(const Database& db) const;

@@ -70,10 +70,6 @@ WireResponse ToWire(const StatusOr<api::QueryResponse>& result,
   response.kind = kind;
   response.model_version = result->model_version;
   response.from_cache = result->from_cache;
-  if (!model.has_graph()) {
-    return ErrorResponse(
-        Status::Internal("served model has no graph to resolve names"));
-  }
   const core::DirectedHypergraph& graph = model.graph();
   response.ranked.reserve(result->ranked.size());
   for (const serve::RankedConsequent& r : result->ranked) {

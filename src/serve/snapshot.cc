@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstring>
-#include <fstream>
 #include <utility>
 #include <vector>
 
@@ -153,11 +152,17 @@ StatusOr<api::ModelSpec> ParseSpecTrailer(Reader* reader) {
   return spec;
 }
 
+/// True when the buffer starts with the snapshot magic.
+bool LooksLikeSnapshot(std::string_view data) {
+  return data.size() >= sizeof(kMagic) &&
+         std::memcmp(data.data(), kMagic, sizeof(kMagic)) == 0;
+}
+
 /// Splits a buffer into (version, body) after magic/checksum verification.
 StatusOr<std::pair<uint32_t, std::string_view>> CheckEnvelope(
-    std::string_view data, bool verify_checksum) {
+    std::string_view data) {
   if (data.size() < kHeaderSize) return Corrupt("file shorter than header");
-  if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
+  if (!LooksLikeSnapshot(data)) {
     return Corrupt("bad magic (not a hypermine snapshot)");
   }
   uint32_t version = 0;
@@ -173,7 +178,7 @@ StatusOr<std::pair<uint32_t, std::string_view>> CheckEnvelope(
   }
   if (flags != 0) return Corrupt("nonzero reserved flags");
   std::string_view body = data.substr(kHeaderSize);
-  if (verify_checksum && Fnv1a(body) != checksum) {
+  if (Fnv1a(body) != checksum) {
     return Corrupt("body checksum mismatch");
   }
   return std::make_pair(version, body);
@@ -226,8 +231,7 @@ std::string SerializeSnapshot(const core::DirectedHypergraph& graph,
 }
 
 StatusOr<LoadedSnapshot> DeserializeSnapshotFull(std::string_view data) {
-  HM_ASSIGN_OR_RETURN(auto envelope,
-                      CheckEnvelope(data, /*verify_checksum=*/true));
+  HM_ASSIGN_OR_RETURN(auto envelope, CheckEnvelope(data));
   const uint32_t version = envelope.first;
   Reader reader(envelope.second);
 
@@ -324,60 +328,15 @@ StatusOr<LoadedSnapshot> DeserializeSnapshotFull(std::string_view data) {
   return loaded;
 }
 
-StatusOr<core::DirectedHypergraph> DeserializeSnapshot(std::string_view data) {
-  HM_ASSIGN_OR_RETURN(LoadedSnapshot loaded, DeserializeSnapshotFull(data));
-  return std::move(loaded.graph);
-}
-
-Status WriteSnapshot(const core::DirectedHypergraph& graph,
-                     const std::string& path) {
-  return WriteStringToFile(path, SerializeSnapshot(graph));
-}
-
 Status WriteSnapshot(const core::DirectedHypergraph& graph,
                      const api::ModelSpec& spec, const std::string& path) {
   return WriteStringToFile(path, SerializeSnapshot(graph, spec));
-}
-
-StatusOr<core::DirectedHypergraph> ReadSnapshot(const std::string& path) {
-  HM_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
-  MaybeInjectSnapshotFault(&data);
-  return DeserializeSnapshot(data);
 }
 
 StatusOr<LoadedSnapshot> ReadSnapshotFull(const std::string& path) {
   HM_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
   MaybeInjectSnapshotFault(&data);
   return DeserializeSnapshotFull(data);
-}
-
-StatusOr<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {
-  // A peek must stay cheap on multi-GB models: read only the header plus
-  // the two count fields, never the whole file.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::string data(kHeaderSize + 2 * sizeof(uint64_t), '\0');
-  in.read(data.data(), static_cast<std::streamsize>(data.size()));
-  data.resize(static_cast<size_t>(in.gcount()));
-  HM_ASSIGN_OR_RETURN(auto envelope,
-                      CheckEnvelope(data, /*verify_checksum=*/false));
-  SnapshotInfo info;
-  info.version = envelope.first;
-  Reader reader(envelope.second);
-  if (!reader.Read(&info.num_vertices) || !reader.Read(&info.num_edges)) {
-    return Corrupt("truncated counts");
-  }
-  return info;
-}
-
-bool LooksLikeSnapshot(std::string_view data) {
-  return data.size() >= sizeof(kMagic) &&
-         std::memcmp(data.data(), kMagic, sizeof(kMagic)) == 0;
-}
-
-StatusOr<core::DirectedHypergraph> LoadHypergraph(const std::string& path) {
-  HM_ASSIGN_OR_RETURN(LoadedSnapshot loaded, LoadModelFile(path));
-  return std::move(loaded.graph);
 }
 
 StatusOr<LoadedSnapshot> LoadModelFile(const std::string& path) {

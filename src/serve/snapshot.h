@@ -55,15 +55,6 @@ inline constexpr uint32_t kNarrowSnapshotVersion = 2;
 /// Oldest version the loader still accepts.
 inline constexpr uint32_t kMinSnapshotVersion = 1;
 
-/// Parsed header summary (cheap peek; does not verify the body checksum).
-struct SnapshotInfo {
-  uint32_t version = 0;
-  uint64_t num_vertices = 0;
-  uint64_t num_edges = 0;
-  /// Version >= 2 files carry a ModelSpec trailer.
-  bool has_spec() const { return version >= 2; }
-};
-
 /// A fully parsed snapshot (or CSV) file: the graph plus the ModelSpec that
 /// built it. `has_spec` is false for v1 snapshots and CSV files, whose
 /// `spec` is default-constructed.
@@ -79,40 +70,24 @@ struct LoadedSnapshot {
 std::string SerializeSnapshot(const core::DirectedHypergraph& graph,
                               const api::ModelSpec& spec = {});
 
-/// Parses a snapshot buffer. Corrupted, truncated, or checksum-mismatching
-/// input yields kCorrupted; an unsupported version yields kInvalidArgument.
-StatusOr<core::DirectedHypergraph> DeserializeSnapshot(std::string_view data);
-
-/// Parses a snapshot buffer including its ModelSpec trailer when present.
+/// Parses a snapshot buffer, including its ModelSpec trailer when present.
+/// Corrupted, truncated, or checksum-mismatching input yields kCorrupted;
+/// an unsupported version yields kInvalidArgument.
 StatusOr<LoadedSnapshot> DeserializeSnapshotFull(std::string_view data);
 
 /// Writes a snapshot file (truncating). kIoError when the path cannot be
 /// created or written.
 Status WriteSnapshot(const core::DirectedHypergraph& graph,
-                     const std::string& path);
-Status WriteSnapshot(const core::DirectedHypergraph& graph,
                      const api::ModelSpec& spec, const std::string& path);
 /// Reads a snapshot file. kIoError when the file cannot be read; the
-/// Deserialize errors (kCorrupted / kInvalidArgument) when it parses
-/// badly.
-StatusOr<core::DirectedHypergraph> ReadSnapshot(const std::string& path);
+/// DeserializeSnapshotFull errors (kCorrupted / kInvalidArgument) when it
+/// parses badly.
 StatusOr<LoadedSnapshot> ReadSnapshotFull(const std::string& path);
 
-/// Reads only the header + counts of a snapshot file — a cheap peek that
-/// does NOT verify the body checksum (tooling that must trust the bytes
-/// should do a full read).
-StatusOr<SnapshotInfo> ReadSnapshotInfo(const std::string& path);
-
-/// True when the buffer starts with the snapshot magic.
-bool LooksLikeSnapshot(std::string_view data);
-
-/// Loads a hypergraph from either a snapshot or a WriteHypergraphCsv file,
-/// sniffing the format from the leading bytes.
-StatusOr<core::DirectedHypergraph> LoadHypergraph(const std::string& path);
-
-/// Format-sniffing load that also surfaces the ModelSpec trailer of v2
-/// snapshots (CSV and v1 snapshots yield has_spec = false). This is the
-/// loader api::Model::FromFile builds on.
+/// Loads either a snapshot or a WriteHypergraphCsv file, sniffing the
+/// format from the leading bytes, and surfaces the ModelSpec trailer of
+/// v2+ snapshots (CSV and v1 snapshots yield has_spec = false). This is
+/// the loader api::Model::FromFile builds on.
 StatusOr<LoadedSnapshot> LoadModelFile(const std::string& path);
 
 }  // namespace hypermine::serve

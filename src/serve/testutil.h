@@ -3,7 +3,8 @@
 
 #include <vector>
 
-#include "serve/engine.h"
+#include "api/engine.h"
+#include "core/hypergraph.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -34,15 +35,14 @@ inline core::DirectedHypergraph RandomServeGraph(size_t vertices,
 
 /// Deterministic query mix: 1-3 random items each, every `reach_every`-th
 /// query a forward-closure query at `reach_min_acv`, the rest top-k.
-inline std::vector<Query> RandomServeQueries(size_t n, size_t vertices,
-                                             uint64_t seed, size_t k,
-                                             size_t reach_every,
-                                             double reach_min_acv) {
+inline std::vector<api::QueryRequest> RandomServeQueries(
+    size_t n, size_t vertices, uint64_t seed, size_t k, size_t reach_every,
+    double reach_min_acv) {
   Rng rng(seed);
-  std::vector<Query> queries;
+  std::vector<api::QueryRequest> queries;
   queries.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    Query q;
+    api::QueryRequest q;
     size_t items = 1 + rng.NextBounded(3);
     for (size_t j = 0; j < items; ++j) {
       q.items.push_back(
@@ -50,7 +50,7 @@ inline std::vector<Query> RandomServeQueries(size_t n, size_t vertices,
     }
     q.k = k;
     if (reach_every > 0 && i % reach_every == 0) {
-      q.kind = Query::Kind::kReachable;
+      q.kind = api::QueryRequest::Kind::kReachable;
       q.min_acv = reach_min_acv;
     }
     queries.push_back(std::move(q));

@@ -10,11 +10,11 @@
 
 namespace hypermine {
 
-/// Fixed-size worker pool shared by the serving engine (serve::QueryEngine)
-/// and the hypergraph builder (core::BuildAssociationHypergraph). Tasks are
+/// Fixed-size worker pool shared by the serving engine (api::Engine) and
+/// the hypergraph builder (core::BuildAssociationHypergraph). Tasks are
 /// plain closures; Submit never blocks. Tasks still queued at destruction
 /// time are drained, not dropped — a queued batch chunk always runs, which
-/// is what QueryEngine's blocking QueryBatch semantics require.
+/// is what Engine's blocking QueryBatch semantics require.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers; 0 = HardwareThreads().

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "api/model.h"
@@ -33,35 +34,34 @@ TEST(ApiEngineTest, BatchMatchesDirectIndexLookups) {
   Engine engine(model, options);
   EXPECT_EQ(engine.num_threads(), 4u);
 
-  std::vector<serve::Query> queries = serve::RandomServeQueries(
+  const std::vector<QueryRequest> requests = serve::RandomServeQueries(
       200, 40, 99, /*k=*/5, /*reach_every=*/7, /*reach_min_acv=*/0.5);
-  std::vector<QueryRequest> requests;
-  for (const serve::Query& q : queries) {
-    QueryRequest request;
-    request.items = q.items;
-    request.k = q.k;
-    request.kind = q.kind == serve::Query::Kind::kTopK
-                       ? QueryRequest::Kind::kTopK
-                       : QueryRequest::Kind::kReachable;
-    request.min_acv = q.min_acv;
-    requests.push_back(std::move(request));
-  }
 
-  std::vector<StatusOr<QueryResponse>> responses =
-      engine.QueryBatch(requests);
-  ASSERT_EQ(responses.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_TRUE(responses[i].ok()) << i;
-    EXPECT_EQ(responses[i]->model_version, model->version()) << i;
-    if (requests[i].kind == QueryRequest::Kind::kTopK) {
-      EXPECT_EQ(responses[i]->ranked,
-                model->index().TopKWithin(requests[i].items, requests[i].k))
-          << i;
-    } else {
-      EXPECT_EQ(responses[i]->closure,
-                model->index().Reachable(requests[i].items,
-                                         requests[i].min_acv))
-          << i;
+  // Four callers submit the same batch at once; batches interleave on the
+  // engine's pool and every answer must still match the index.
+  std::vector<std::vector<StatusOr<QueryResponse>>> per_caller(4);
+  std::vector<std::thread> callers;
+  for (auto& responses : per_caller) {
+    callers.emplace_back([&engine, &requests, &responses] {
+      responses = engine.QueryBatch(requests);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (const auto& responses : per_caller) {
+    ASSERT_EQ(responses.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_TRUE(responses[i].ok()) << i;
+      EXPECT_EQ(responses[i]->model_version, model->version()) << i;
+      if (requests[i].kind == QueryRequest::Kind::kTopK) {
+        EXPECT_EQ(responses[i]->ranked, model->index().TopKWithin(
+                                            requests[i].items, requests[i].k))
+            << i;
+      } else {
+        EXPECT_EQ(responses[i]->closure,
+                  model->index().Reachable(requests[i].items,
+                                           requests[i].min_acv))
+            << i;
+      }
     }
   }
 }
@@ -81,15 +81,21 @@ TEST(ApiEngineTest, PerQueryStatusDoesNotFailTheBatch) {
   nan_threshold.kind = QueryRequest::Kind::kReachable;
   nan_threshold.min_acv = std::nan("");          // would fire every rule
   requests.push_back(nan_threshold);
+  QueryRequest at_cap;
+  for (core::VertexId v = 0; v < kMaxQueryItems; ++v) {
+    at_cap.items.push_back(v % 10);              // exactly the cap: fine
+  }
+  requests.push_back(at_cap);
 
   std::vector<StatusOr<QueryResponse>> responses =
       engine.QueryBatch(requests);
-  ASSERT_EQ(responses.size(), 5u);
+  ASSERT_EQ(responses.size(), 6u);
   EXPECT_TRUE(responses[0].ok());
   EXPECT_EQ(responses[1].status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(responses[2].status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(responses[3].status().code(), StatusCode::kNotFound);
   EXPECT_EQ(responses[4].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(responses[5].ok()) << responses[5].status().ToString();
 }
 
 TEST(ApiEngineTest, NamesResolveAgainstTheLiveModel) {
@@ -141,9 +147,44 @@ TEST(ApiEngineTest, CacheServesRepeatsWithinOneModelVersion) {
   ASSERT_TRUE(reordered.ok());
   EXPECT_TRUE(reordered->from_cache);
 
+  // Kind, k and min_acv are part of the key: each variant misses once,
+  // then hits.
+  QueryRequest other_k = TopKRequest({1, 3}, 3);
+  QueryRequest reach = q;
+  reach.kind = QueryRequest::Kind::kReachable;
+  QueryRequest reach_high = reach;
+  reach_high.min_acv = 0.9;
+  for (bool repeat : {false, true}) {
+    for (const QueryRequest* variant : {&other_k, &reach, &reach_high}) {
+      auto response = engine.Query(*variant);
+      ASSERT_TRUE(response.ok());
+      EXPECT_EQ(response->from_cache, repeat);
+    }
+  }
+
   CacheStats stats = engine.cache_stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 5u);
+  EXPECT_EQ(stats.misses, 4u);
+}
+
+TEST(ApiEngineTest, SingleShardLruEvictsLeastRecentlyUsed) {
+  EngineOptions options;
+  options.num_threads = 1;
+  options.cache_capacity = 2;
+  Engine engine(RandomModel(20, 60, 5), options);
+  ASSERT_EQ(engine.cache_shards(), 1u);
+
+  const QueryRequest a = TopKRequest({1}, 5);
+  const QueryRequest b = TopKRequest({2}, 5);
+  const QueryRequest c = TopKRequest({3}, 5);
+  ASSERT_TRUE(engine.Query(a).ok());
+  ASSERT_TRUE(engine.Query(b).ok());
+  // Refreshing a leaves b least recent, so c evicts b, not a.
+  ASSERT_TRUE(engine.Query(a)->from_cache);
+  ASSERT_FALSE(engine.Query(c)->from_cache);
+  EXPECT_TRUE(engine.Query(a)->from_cache);
+  EXPECT_FALSE(engine.Query(b)->from_cache);  // evicts c
+  EXPECT_EQ(engine.cache_stats().evictions, 2u);
 }
 
 TEST(ApiEngineTest, SwapInvalidatesCacheCoherently) {

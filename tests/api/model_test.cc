@@ -107,7 +107,7 @@ TEST(ModelTest, SnapshotRoundTripPreservesGraphAndSpec) {
 
   const std::string path = TempPath("model_roundtrip.snap");
   ASSERT_TRUE((*built)->SaveSnapshot(path).ok());
-  auto loaded = Model::FromSnapshot(path);
+  auto loaded = Model::FromFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   ExpectSameGraph((*built)->graph(), (*loaded)->graph());
@@ -196,27 +196,11 @@ TEST(ModelTest, FromGraphWrapsWithoutMining) {
   auto model = Model::FromGraph(std::move(graph).value(), spec);
   EXPECT_EQ(model->num_edges(), 1u);
   EXPECT_EQ(model->spec().provenance.note, "wrapped");
-  EXPECT_TRUE(model->has_graph());
 }
 
-TEST(ModelTest, IndexOnlyModelRefusesGraphOperations) {
-  auto graph = core::DirectedHypergraph::CreateAnonymous(4);
-  ASSERT_TRUE(graph.ok());
-  ASSERT_TRUE(graph->AddEdge({0}, 1, 0.5).ok());
-  auto model = Model::FromIndex(serve::RuleIndex::Build(*graph));
-  EXPECT_FALSE(model->has_graph());
-  EXPECT_EQ(model->SaveSnapshot(TempPath("never.snap")).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(model->ExportCsv(TempPath("never.csv")).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(model->FindVertex("v0").has_value());
-  // Queryable regardless.
-  EXPECT_EQ(model->index().TopK(std::vector<core::VertexId>{0}, 5).size(),
-            1u);
-}
-
-TEST(ModelTest, FromSnapshotMissingFileFails) {
-  EXPECT_FALSE(Model::FromSnapshot("/nonexistent/model.snap").ok());
+TEST(ModelTest, FromFileMissingFileIsIoError) {
+  EXPECT_EQ(Model::FromFile("/nonexistent/model.snap").status().code(),
+            StatusCode::kIoError);
 }
 
 }  // namespace

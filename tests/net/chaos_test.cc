@@ -343,9 +343,10 @@ TEST_P(ChaosTest, RandomizedFaultsNeverCrashCorruptOrMiscount) {
 
 INSTANTIATE_TEST_SUITE_P(Reactors, ChaosTest,
                          ::testing::Values(size_t{1}, size_t{2}),
-                         [](const ::testing::TestParamInfo<size_t>& info) {
+                         [](const ::testing::TestParamInfo<size_t>&
+                                param_info) {
                            return "reactors_" +
-                                  std::to_string(info.param);
+                                  std::to_string(param_info.param);
                          });
 
 }  // namespace

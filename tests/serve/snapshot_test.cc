@@ -39,9 +39,9 @@ void ExpectSameGraph(const core::DirectedHypergraph& a,
 }
 
 core::DirectedHypergraph RoundTrip(const core::DirectedHypergraph& graph) {
-  auto reloaded = DeserializeSnapshot(SerializeSnapshot(graph));
+  auto reloaded = DeserializeSnapshotFull(SerializeSnapshot(graph));
   HM_CHECK_OK(reloaded.status());
-  return std::move(reloaded).value();
+  return std::move(reloaded->graph);
 }
 
 TEST(SnapshotTest, RoundTripEmptyGraph) {
@@ -90,21 +90,21 @@ TEST(SnapshotTest, LosslessVersusCsvExportOnQuickstartGraph) {
   const std::string csv_path = ::testing::TempDir() + "quickstart.csv";
   const std::string snap_path = ::testing::TempDir() + "quickstart.snap";
   ASSERT_TRUE(core::WriteHypergraphCsv(*graph, csv_path).ok());
-  ASSERT_TRUE(WriteSnapshot(*graph, snap_path).ok());
+  ASSERT_TRUE(WriteSnapshot(*graph, {}, snap_path).ok());
 
   auto from_csv = core::ReadHypergraphCsv(csv_path);
-  auto from_snap = ReadSnapshot(snap_path);
+  auto from_snap = ReadSnapshotFull(snap_path);
   HM_CHECK_OK(from_csv.status());
   HM_CHECK_OK(from_snap.status());
-  ExpectSameGraph(*from_csv, *from_snap);
-  ExpectSameGraph(*graph, *from_snap);
+  ExpectSameGraph(*from_csv, from_snap->graph);
+  ExpectSameGraph(*graph, from_snap->graph);
 
-  // LoadHypergraph sniffs both formats.
-  auto auto_csv = LoadHypergraph(csv_path);
-  auto auto_snap = LoadHypergraph(snap_path);
+  // LoadModelFile sniffs both formats.
+  auto auto_csv = LoadModelFile(csv_path);
+  auto auto_snap = LoadModelFile(snap_path);
   HM_CHECK_OK(auto_csv.status());
   HM_CHECK_OK(auto_snap.status());
-  ExpectSameGraph(*auto_csv, *auto_snap);
+  ExpectSameGraph(auto_csv->graph, auto_snap->graph);
 
   std::remove(csv_path.c_str());
   std::remove(snap_path.c_str());
@@ -136,22 +136,6 @@ TEST(SnapshotTest, BinaryIsSmallerThanCsvAtScale) {
   // At least 1.5x smaller (16-byte records vs ~30-byte CSV rows).
   EXPECT_LT(snap.size() * 3, csv->size() * 2);
   std::remove(csv_path.c_str());
-}
-
-TEST(SnapshotTest, ReadSnapshotInfo) {
-  core::DirectedHypergraph graph = Named({"x", "y", "z"});
-  ASSERT_TRUE(graph.AddEdge({0, 1}, 2, 0.25).ok());
-  const std::string path = ::testing::TempDir() + "info.snap";
-  ASSERT_TRUE(WriteSnapshot(graph, path).ok());
-  auto info = ReadSnapshotInfo(path);
-  ASSERT_TRUE(info.ok());
-  // Small graphs serialize narrow: the writer emits version 2, not the
-  // newest version, so pre-widening readers still load them.
-  EXPECT_EQ(info->version, kNarrowSnapshotVersion);
-  EXPECT_TRUE(info->has_spec());
-  EXPECT_EQ(info->num_vertices, 3u);
-  EXPECT_EQ(info->num_edges, 1u);
-  std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, NarrowGraphsSerializeAsVersion2) {
@@ -207,14 +191,14 @@ TEST(SnapshotTest, WideSnapshotRoundTripsBeyondOld16BitCap) {
   // ~1 MB) and a flipped byte mid-body.
   for (size_t len : {size_t{0}, size_t{10}, size_t{100}, snap.size() / 2,
                      snap.size() - 9, snap.size() - 1}) {
-    auto result = DeserializeSnapshot(snap.substr(0, len));
+    auto result = DeserializeSnapshotFull(snap.substr(0, len));
     ASSERT_FALSE(result.ok()) << "prefix length " << len;
     EXPECT_EQ(result.status().code(), StatusCode::kCorrupted)
         << "prefix length " << len;
   }
   std::string mutated = snap;
   mutated[snap.size() / 2] = static_cast<char>(mutated[snap.size() / 2] ^ 1);
-  EXPECT_EQ(DeserializeSnapshot(mutated).status().code(),
+  EXPECT_EQ(DeserializeSnapshotFull(mutated).status().code(),
             StatusCode::kCorrupted);
 }
 
@@ -224,12 +208,12 @@ TEST(SnapshotTest, EveryTruncationIsCorrupted) {
   ASSERT_TRUE(graph.AddEdge({0, 2}, 1, 0.75).ok());
   const std::string full = SerializeSnapshot(graph);
   for (size_t len = 0; len < full.size(); ++len) {
-    auto result = DeserializeSnapshot(full.substr(0, len));
+    auto result = DeserializeSnapshotFull(full.substr(0, len));
     ASSERT_FALSE(result.ok()) << "prefix length " << len;
     EXPECT_EQ(result.status().code(), StatusCode::kCorrupted)
         << "prefix length " << len;
   }
-  EXPECT_TRUE(DeserializeSnapshot(full).ok());
+  EXPECT_TRUE(DeserializeSnapshotFull(full).ok());
 }
 
 TEST(SnapshotTest, EveryFlippedBodyByteIsCorrupted) {
@@ -240,7 +224,7 @@ TEST(SnapshotTest, EveryFlippedBodyByteIsCorrupted) {
   for (size_t pos = 24; pos < full.size(); ++pos) {
     std::string mutated = full;
     mutated[pos] = static_cast<char>(mutated[pos] ^ 0x5A);
-    auto result = DeserializeSnapshot(mutated);
+    auto result = DeserializeSnapshotFull(mutated);
     ASSERT_FALSE(result.ok()) << "byte " << pos;
     EXPECT_EQ(result.status().code(), StatusCode::kCorrupted)
         << "byte " << pos;
@@ -251,7 +235,7 @@ TEST(SnapshotTest, BadMagicIsCorrupted) {
   core::DirectedHypergraph graph = Named({"a"});
   std::string mutated = SerializeSnapshot(graph);
   mutated[0] = 'X';
-  auto result = DeserializeSnapshot(mutated);
+  auto result = DeserializeSnapshotFull(mutated);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCorrupted);
 }
@@ -260,7 +244,7 @@ TEST(SnapshotTest, TrailingGarbageIsCorrupted) {
   core::DirectedHypergraph graph = Named({"a", "b"});
   ASSERT_TRUE(graph.AddEdge({0}, 1, 0.5).ok());
   std::string mutated = SerializeSnapshot(graph) + "extra";
-  auto result = DeserializeSnapshot(mutated);
+  auto result = DeserializeSnapshotFull(mutated);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCorrupted);
 }
@@ -271,15 +255,16 @@ TEST(SnapshotTest, VersionMismatchIsRejected) {
   // The version field sits at offset 8 and is not checksummed, so this
   // exercises the version gate rather than corruption detection.
   mutated[8] = static_cast<char>(kSnapshotVersion + 1);
-  auto result = DeserializeSnapshot(mutated);
+  auto result = DeserializeSnapshotFull(mutated);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SnapshotTest, MissingFileIsIoError) {
-  auto result = ReadSnapshot("/nonexistent/path/model.snap");
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().code(), StatusCode::kOk);
+  EXPECT_EQ(ReadSnapshotFull("/nonexistent/path/model.snap").status().code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(LoadModelFile("/nonexistent/path/model.snap").status().code(),
+            StatusCode::kIoError);
 }
 
 TEST(SnapshotTest, SpecTrailerRoundTrips) {
@@ -336,14 +321,16 @@ TEST(SnapshotTest, NanWeightIsCorrupted) {
   ASSERT_TRUE(graph.AddEdge({0}, 1, 0.123456789).ok());
   const std::string snap = SerializeSnapshot(graph);
   // A legal replacement weight loads, so the re-sealed checksum holds...
-  auto patched = DeserializeSnapshot(PatchWeight(snap, 0.123456789, 0.25));
+  auto patched =
+      DeserializeSnapshotFull(PatchWeight(snap, 0.123456789, 0.25));
   ASSERT_TRUE(patched.ok()) << patched.status().ToString();
-  EXPECT_EQ(patched->edge(0).weight, 0.25);
+  EXPECT_EQ(patched->graph.edge(0).weight, 0.25);
   // ...and a NaN ACV is refused by AddEdge, reported as corruption.
-  EXPECT_EQ(DeserializeSnapshot(PatchWeight(snap, 0.123456789, std::nan("")))
-                .status()
-                .code(),
-            StatusCode::kCorrupted);
+  EXPECT_EQ(
+      DeserializeSnapshotFull(PatchWeight(snap, 0.123456789, std::nan("")))
+          .status()
+          .code(),
+      StatusCode::kCorrupted);
 }
 
 TEST(SnapshotTest, EdgeCountBeyondTheBodyIsCorrupted) {
@@ -357,7 +344,7 @@ TEST(SnapshotTest, EdgeCountBeyondTheBodyIsCorrupted) {
   std::memcpy(&snap[16], &checksum, sizeof(checksum));
   // Rejected from the header alone: sizing the edge table from this count
   // would ask for terabytes.
-  auto loaded = DeserializeSnapshot(snap);
+  auto loaded = DeserializeSnapshotFull(snap);
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorrupted);
   EXPECT_NE(loaded.status().message().find("edge count exceeds"),
             std::string::npos)
@@ -412,9 +399,9 @@ TEST(SnapshotTest, Version1SnapshotStillLoads) {
 
   // A v1 file with trailing bytes is still corrupt (there is no trailer
   // to absorb them), and truncated v1 files still fail cleanly.
-  EXPECT_EQ(DeserializeSnapshot(v1 + "x").status().code(),
+  EXPECT_EQ(DeserializeSnapshotFull(v1 + "x").status().code(),
             StatusCode::kCorrupted);
-  EXPECT_EQ(DeserializeSnapshot(v1.substr(0, v1.size() - 3))
+  EXPECT_EQ(DeserializeSnapshotFull(v1.substr(0, v1.size() - 3))
                 .status()
                 .code(),
             StatusCode::kCorrupted);

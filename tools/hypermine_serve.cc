@@ -462,7 +462,7 @@ int RunSelfTest(const FlagParser& flags) {
   const std::string path = "/tmp/hypermine_selftest.snap";
   Status written = (*built)->SaveSnapshot(path);
   if (!written.ok()) return Fail(written);
-  auto model = api::Model::FromSnapshot(path);
+  auto model = api::Model::FromFile(path);
   if (!model.ok()) return Fail(model.status());
   HM_CHECK_EQ((*model)->num_edges(), (*built)->num_edges());
   HM_CHECK_EQ((*model)->num_vertices(), (*built)->num_vertices());

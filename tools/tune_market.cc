@@ -8,7 +8,7 @@
 #include <vector>
 #include "api/model.h"
 #include "core/pipeline.h"
-#include "serve/plane_artifact.h"
+#include "core/value_planes.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -94,18 +94,16 @@ int main(int argc, char** argv) {
   TopShare(*ex, false);
 
   // Gamma sweep over the full-window database: the value planes are packed
-  // once into the cache and every build reuses the artifact (the repeated
-  // same-database workload serve::PlaneCache exists for).
+  // once and every build reuses them.
   {
-    serve::PlaneCache plane_cache;
     Stopwatch sweep_timer;
-    printf("gamma sweep (shared plane artifact):\n");
+    const core::ValuePlanes planes = core::PackDatabasePlanes(ex->database);
+    printf("gamma sweep (shared value planes):\n");
     for (double gamma_edge : {1.05, 1.10, 1.15, 1.20, 1.25}) {
-      auto planes = plane_cache.GetOrPack(ex->database);
       core::HypergraphConfig config = core::ConfigC1();
       config.gamma_edge = gamma_edge;
       auto graph = core::BuildAssociationHypergraph(
-          ex->database, config, nullptr, nullptr, planes.get());
+          ex->database, config, nullptr, nullptr, &planes);
       if (!graph.ok()) {
         printf("  gamma %.2f: %s\n", gamma_edge,
                graph.status().ToString().c_str());
@@ -114,9 +112,7 @@ int main(int argc, char** argv) {
       printf("  gamma %.2f: edges=%zu pairs=%zu\n", gamma_edge,
              graph->NumDirectedEdges(), graph->NumPairEdges());
     }
-    auto cache_stats = plane_cache.stats();
-    printf("  plane cache: %zu pack, %zu reuse (%.2fs total)\n",
-           cache_stats.packs, cache_stats.memory_hits,
+    printf("  packed once, reused by 5 builds (%.2fs total)\n",
            sweep_timer.ElapsedSeconds());
   }
 
