@@ -2,8 +2,9 @@
 // parallel BuildAssociationHypergraph with its per-phase split (pack,
 // stage 1, stage 2, merge from BuildStats), candidate-evaluation rate, and
 // the fused-vs-per-pair edge-kernel speedup, on a synthetic correlated
-// database. Emits BENCH_build.json so the construction-path perf
-// trajectory is tracked the same way BENCH_serve.json tracks serving.
+// database. Emits BENCH_build.json, the committed baseline that
+// tools/check_bench.py gates in CI (docs/ci.md); serving is measured by
+// perfbench/ instead.
 //
 //   ./bench_build_throughput [--attrs=192] [--rows=4000] [--k=3]
 //       [--threads=0 (hardware)] [--repeat=3] [--out=BENCH_build.json]

@@ -1,6 +1,5 @@
 #include "common.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "core/simd.h"
@@ -104,12 +103,6 @@ void PrintPaperComparison(const std::string& metric, double measured,
                           const std::string& paper_value) {
   std::printf("  %-46s measured %-8.3f paper: %s\n", metric.c_str(), measured,
               paper_value.c_str());
-}
-
-double PercentileMs(const std::vector<double>& sorted_ms, double p) {
-  if (sorted_ms.empty()) return 0.0;
-  size_t idx = static_cast<size_t>(p * static_cast<double>(sorted_ms.size()));
-  return sorted_ms[std::min(idx, sorted_ms.size() - 1)];
 }
 
 }  // namespace hypermine::bench

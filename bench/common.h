@@ -64,11 +64,6 @@ std::string FormatEdgeWithSectors(const core::MarketExperiment& experiment,
 void PrintPaperComparison(const std::string& metric, double measured,
                           const std::string& paper_value);
 
-/// p-th percentile (0..1) of an ascending-sorted latency sample; 0 on an
-/// empty sample. Shared by the serving/net throughput harnesses so p50/p99
-/// are computed identically everywhere.
-double PercentileMs(const std::vector<double>& sorted_ms, double p);
-
 }  // namespace hypermine::bench
 
 #endif  // HYPERMINE_BENCH_COMMON_H_

@@ -64,22 +64,9 @@ std::vector<Socket> Reactor::TakeHandoffs() {
   return adopted;
 }
 
-ReactorStats Reactor::snapshot() const {
-  ReactorStats s;
-  s.index = index;
-  s.connections_accepted = accepted.load(std::memory_order_relaxed);
-  s.connections_rejected = rejected.load(std::memory_order_relaxed);
-  s.connections_reaped = reaped.load(std::memory_order_relaxed);
-  s.connections_stalled = stalled.load(std::memory_order_relaxed);
-  s.batches = batches_applied.load(std::memory_order_relaxed);
-  s.bytes_read = bytes_read.load(std::memory_order_relaxed);
-  s.bytes_written = bytes_written.load(std::memory_order_relaxed);
-  s.open_connections = open.load(std::memory_order_relaxed);
-  {
-    MutexLock lock(completion_mutex);
-    s.outstanding_batches = outstanding_batches;
-  }
-  return s;
+size_t Reactor::outstanding() const {
+  MutexLock lock(completion_mutex);
+  return outstanding_batches;
 }
 
 }  // namespace hypermine::net

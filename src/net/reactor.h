@@ -14,6 +14,7 @@
 #include "net/event_loop.h"
 #include "net/http.h"
 #include "net/socket.h"
+#include "util/metrics.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -72,26 +73,19 @@ struct ReactorConn {
 struct BatchCompletion {
   std::shared_ptr<ReactorConn> conn;
   std::string bytes;
-  size_t admitted = 0;
-  uint64_t rejected = 0;
-  uint64_t shed = 0;
 };
 
-/// Point-in-time counters of one reactor, for ServerStats::per_reactor
-/// and the labeled hypermine_net_reactor_* series. Individually monotonic
-/// except the two occupancy values.
+/// Point-in-time view of one reactor, for ServerStats::per_reactor and
+/// /statusz: its hypermine_net_reactor_* series plus the outstanding
+/// count. Individually monotonic except the two occupancy values.
 struct ReactorStats {
   size_t index = 0;
   uint64_t connections_accepted = 0;
-  uint64_t connections_rejected = 0;
   uint64_t connections_reaped = 0;
-  uint64_t connections_stalled = 0;
-  /// Engine batches applied back to connections owned by this reactor.
-  uint64_t batches = 0;
-  uint64_t bytes_read = 0;
-  uint64_t bytes_written = 0;
   /// Connections currently owned (admin plane included, reactor 0 only).
   size_t open_connections = 0;
+  /// Engine batches executed for connections owned by this reactor.
+  uint64_t batches = 0;
   /// Batches handed to the pool and not yet applied back here.
   size_t outstanding_batches = 0;
 };
@@ -100,7 +94,7 @@ struct ReactorStats {
 /// that thread owns. net::Server runs `num_reactors` of these; every
 /// connection lives and dies on exactly one, so the `HM_CAPABILITY
 /// ("reactor")` on EventLoop holds per-loop exactly as it did when there
-/// was only one. The members below split three ways:
+/// was only one. The members below split four ways:
 ///
 ///  - loop-guarded state (conns, drain bookkeeping): reactor thread only,
 ///    or Stop() after the join — same ownership story as before, now per
@@ -109,7 +103,9 @@ struct ReactorStats {
 ///    pool workers finishing batches and this reactor applying them;
 ///  - the handoff inbox: in kHandoff accept mode, reactor 0 accepts and
 ///    pushes sockets here round-robin; the owner adopts them on its next
-///    wakeup. Unused in kReusePort mode (the kernel does the spreading).
+///    wakeup. Unused in kReusePort mode (the kernel does the spreading);
+///  - pointers to this reactor's labelled series in the server's registry,
+///    which keeps the counts themselves.
 ///
 /// The small cross-thread methods live in reactor.cc; all protocol and
 /// policy logic stays in Server methods parameterized by `Reactor&` and
@@ -149,16 +145,15 @@ struct Reactor {
   /// Lets the owner skip the inbox lock on the (common) empty case.
   std::atomic<bool> inbox_nonempty{false};
 
-  // --- counters (owner writes, stats()/collector read cross-thread) ---
-  std::atomic<uint64_t> accepted{0};
-  std::atomic<uint64_t> rejected{0};
-  std::atomic<uint64_t> reaped{0};
-  std::atomic<uint64_t> stalled{0};
-  std::atomic<uint64_t> batches_applied{0};
-  std::atomic<uint64_t> bytes_read{0};
-  std::atomic<uint64_t> bytes_written{0};
-  /// conns.size() mirrored for readers off the reactor thread.
-  std::atomic<size_t> open{0};
+  // --- this reactor's labelled series in the server's registry ---
+  // Set once by the Server constructor, before the thread starts. The
+  // reactor bumps all but `batches`, which the pool worker running the
+  // batch bumps; the registry is the only store of these counts.
+  metrics::Counter* accepted = nullptr;
+  metrics::Counter* reaped = nullptr;
+  metrics::Counter* batches = nullptr;
+  /// conns.size(), for readers off the reactor thread.
+  metrics::Gauge* open = nullptr;
 
   Reactor(size_t reactor_index, EventLoop reactor_loop);
 
@@ -180,7 +175,8 @@ struct Reactor {
   void PushHandoff(Socket socket);
   std::vector<Socket> TakeHandoffs();
 
-  ReactorStats snapshot() const;
+  /// Batches handed to the pool and not yet applied back (any thread).
+  size_t outstanding() const;
 };
 
 }  // namespace hypermine::net

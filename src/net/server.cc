@@ -37,14 +37,6 @@ constexpr size_t kMaxAdminConnections = 64;
 /// fail loudly, not spawn ten thousand event loops.
 constexpr size_t kMaxReactors = 128;
 
-/// Raises an atomic high-water mark (relaxed CAS loop).
-void UpdateMax(std::atomic<size_t>* max, size_t value) {
-  size_t seen = max->load(std::memory_order_relaxed);
-  while (seen < value && !max->compare_exchange_weak(
-                             seen, value, std::memory_order_relaxed)) {
-  }
-}
-
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -236,8 +228,88 @@ Server::Server(api::Engine* engine, ServerOptions options, bool handoff_mode,
     pool_ = owned_pool_.get();
   }
 
-  registry_ = options_.registry != nullptr ? options_.registry
-                                           : &metrics::DefaultRegistry();
+  if (options_.registry != nullptr) {
+    registry_ = options_.registry;
+  } else {
+    owned_registry_ = std::make_unique<metrics::Registry>();
+    registry_ = owned_registry_.get();
+  }
+  c_accepted_ = registry_->GetCounter(
+      "hypermine_net_connections_accepted_total",
+      "Query-plane connections accepted.");
+  c_rejected_ = registry_->GetCounter(
+      "hypermine_net_connections_rejected_total",
+      "Accepts closed because max_connections was reached.");
+  c_reaped_ = registry_->GetCounter(
+      "hypermine_net_connections_reaped_total",
+      "Connections closed by the idle-timeout reaper.");
+  c_stalled_ = registry_->GetCounter(
+      "hypermine_net_connections_stalled_total",
+      "Connections closed by the mid-frame stall timer (slow loris).");
+  c_shed_ = registry_->GetCounter(
+      "hypermine_net_queries_shed_total",
+      "Queries answered kUnavailable by load shedding (out-waited "
+      "max_queue_wait_ms) or during drain.");
+  c_batches_ = registry_->GetCounter("hypermine_net_batches_total",
+                                     "Engine batches executed.");
+  c_answered_ = registry_->GetCounter(
+      "hypermine_net_queries_answered_total",
+      "Queries the engine ran (per-query errors included).");
+  c_rejected_queries_ = registry_->GetCounter(
+      "hypermine_net_queries_rejected_total",
+      "Queries rejected before the engine (quota, queue depth, malformed "
+      "frames).");
+  c_coalesced_ = registry_->GetCounter(
+      "hypermine_net_frames_coalesced_total",
+      "Frames that shared an engine batch with an earlier frame (batch of "
+      "n adds n-1).");
+  c_bytes_read_ = registry_->GetCounter(
+      "hypermine_net_bytes_read_total",
+      "Payload bytes read off query connections.");
+  c_bytes_written_ = registry_->GetCounter(
+      "hypermine_net_bytes_written_total",
+      "Payload bytes written to query connections.");
+  c_http_requests_ = registry_->GetCounter(
+      "hypermine_net_admin_requests_total",
+      "HTTP requests answered on the admin plane.");
+  g_queue_depth_ = registry_->GetGauge(
+      "hypermine_net_queue_depth",
+      "Queries admitted but not yet answered, right now.");
+  g_depth_peak_ = registry_->GetGauge(
+      "hypermine_net_queue_depth_peak",
+      "High-water mark of hypermine_net_queue_depth.");
+  g_open_ = registry_->GetGauge(
+      "hypermine_net_open_connections",
+      "Connections currently owned by the reactors (admin plane included).");
+  g_draining_ = registry_->GetGauge("hypermine_net_draining",
+                                    "1 once Drain() was requested, else 0.");
+  registry_
+      ->GetGauge("hypermine_net_reactors",
+                 "Reactor threads serving this process.")
+      ->Set(static_cast<int64_t>(reactors_.size()));
+  // Per-reactor label series: connection distribution and the per-loop
+  // work, so a hot or wedged reactor is visible from outside. Each event
+  // bumps its reactor's series and the total above together.
+  for (auto& r : reactors_) {
+    r->accepted = registry_->GetCounter(
+        StrFormat("hypermine_net_reactor_connections_accepted_total"
+                  "{reactor=\"%zu\"}",
+                  r->index),
+        "Query-plane connections accepted, by owning reactor.");
+    r->reaped = registry_->GetCounter(
+        StrFormat("hypermine_net_reactor_connections_reaped_total"
+                  "{reactor=\"%zu\"}",
+                  r->index),
+        "Idle-timeout reaps, by owning reactor.");
+    r->batches = registry_->GetCounter(
+        StrFormat("hypermine_net_reactor_batches_total{reactor=\"%zu\"}",
+                  r->index),
+        "Engine batches executed, by the reactor owning the connection.");
+    r->open = registry_->GetGauge(
+        StrFormat("hypermine_net_reactor_open_connections{reactor=\"%zu\"}",
+                  r->index),
+        "Connections currently owned by this reactor.");
+  }
   h_queue_wait_ = registry_->GetHistogram(
       "hypermine_net_queue_wait_seconds",
       "Reactor-to-worker wait per batch: TakeBatch to ExecuteBatch start.");
@@ -247,118 +319,18 @@ Server::Server(api::Engine* engine, ServerOptions options, bool handoff_mode,
   h_write_drain_ = registry_->GetHistogram(
       "hypermine_net_write_drain_seconds",
       "Response write-queue lifetime: first byte queued to queue empty.");
-  // Bridge the server's own counters (and the engine's) into the registry
-  // at scrape time instead of double-counting on the hot path: the
-  // collector runs once per render, the serving path pays nothing extra.
+  // The collector bridges only values another owner keeps: the engine's
+  // cache and swap counts, the live model, uptime, and the outstanding
+  // batches Stop() waits on under each reactor's completion mutex.
   collector_id_ = registry_->AddCollector([this] {
-    const ServerStats s = stats();
-    registry_
-        ->GetCounter("hypermine_net_connections_accepted_total",
-                     "Query-plane connections accepted.")
-        ->BridgeTo(s.connections_accepted);
-    registry_
-        ->GetCounter("hypermine_net_connections_rejected_total",
-                     "Accepts closed because max_connections was reached.")
-        ->BridgeTo(s.connections_rejected);
-    registry_
-        ->GetCounter("hypermine_net_connections_reaped_total",
-                     "Connections closed by the idle-timeout reaper.")
-        ->BridgeTo(s.connections_reaped);
-    registry_
-        ->GetCounter("hypermine_net_connections_stalled_total",
-                     "Connections closed by the mid-frame stall timer "
-                     "(slow loris).")
-        ->BridgeTo(s.connections_stalled);
-    registry_
-        ->GetCounter("hypermine_net_queries_shed_total",
-                     "Queries answered kUnavailable by load shedding "
-                     "(out-waited max_queue_wait_ms) or during drain.")
-        ->BridgeTo(s.queries_shed);
-    registry_
-        ->GetGauge("hypermine_net_draining",
-                   "1 once Drain() was requested, else 0.")
-        ->Set(draining_.load() ? 1 : 0);
-    registry_
-        ->GetCounter("hypermine_net_batches_total",
-                     "Engine batches executed.")
-        ->BridgeTo(s.batches);
-    registry_
-        ->GetCounter("hypermine_net_queries_answered_total",
-                     "Queries the engine ran (per-query errors included).")
-        ->BridgeTo(s.queries_answered);
-    registry_
-        ->GetCounter("hypermine_net_queries_rejected_total",
-                     "Queries rejected before the engine (quota, queue "
-                     "depth, malformed frames).")
-        ->BridgeTo(s.queries_rejected);
-    registry_
-        ->GetCounter("hypermine_net_frames_coalesced_total",
-                     "Frames that shared an engine batch with an earlier "
-                     "frame (batch of n adds n-1).")
-        ->BridgeTo(s.frames_coalesced);
-    registry_
-        ->GetCounter("hypermine_net_bytes_read_total",
-                     "Payload bytes read off query connections.")
-        ->BridgeTo(s.bytes_read);
-    registry_
-        ->GetCounter("hypermine_net_bytes_written_total",
-                     "Payload bytes written to query connections.")
-        ->BridgeTo(s.bytes_written);
-    registry_
-        ->GetCounter("hypermine_net_admin_requests_total",
-                     "HTTP requests answered on the admin plane.")
-        ->BridgeTo(s.admin_requests);
-    registry_
-        ->GetGauge("hypermine_net_queue_depth",
-                   "Queries admitted but not yet answered, right now.")
-        ->Set(static_cast<int64_t>(s.queue_depth));
-    registry_
-        ->GetGauge("hypermine_net_queue_depth_peak",
-                   "High-water mark of hypermine_net_queue_depth.")
-        ->Set(static_cast<int64_t>(s.queue_depth_peak));
-    size_t open_total = 0;
-    for (const ReactorStats& rs : s.per_reactor) {
-      open_total += rs.open_connections;
-    }
-    registry_
-        ->GetGauge("hypermine_net_open_connections",
-                   "Connections currently owned by the reactors (admin "
-                   "plane included).")
-        ->Set(static_cast<int64_t>(open_total));
-    registry_
-        ->GetGauge("hypermine_net_reactors",
-                   "Reactor threads serving this process.")
-        ->Set(static_cast<int64_t>(s.per_reactor.size()));
-    // Per-reactor label series: connection distribution and the per-loop
-    // work queue, so a hot or wedged reactor is visible from outside.
-    for (const ReactorStats& rs : s.per_reactor) {
-      registry_
-          ->GetCounter(
-              StrFormat("hypermine_net_reactor_connections_accepted_total"
-                        "{reactor=\"%zu\"}",
-                        rs.index),
-              "Query-plane connections accepted, by owning reactor.")
-          ->BridgeTo(rs.connections_accepted);
-      registry_
-          ->GetCounter(
-              StrFormat("hypermine_net_reactor_connections_reaped_total"
-                        "{reactor=\"%zu\"}",
-                        rs.index),
-              "Idle-timeout reaps, by owning reactor.")
-          ->BridgeTo(rs.connections_reaped);
-      registry_
-          ->GetGauge(StrFormat("hypermine_net_reactor_open_connections"
-                               "{reactor=\"%zu\"}",
-                               rs.index),
-                     "Connections currently owned by this reactor.")
-          ->Set(static_cast<int64_t>(rs.open_connections));
+    for (const auto& r : reactors_) {
       registry_
           ->GetGauge(StrFormat("hypermine_net_reactor_outstanding_batches"
                                "{reactor=\"%zu\"}",
-                               rs.index),
+                               r->index),
                      "Engine batches in flight for this reactor's "
                      "connections.")
-          ->Set(static_cast<int64_t>(rs.outstanding_batches));
+          ->Set(static_cast<int64_t>(r->outstanding()));
     }
 
     const api::CacheStats cache = engine_->cache_stats();
@@ -410,6 +382,7 @@ void Server::WakeAllReactors() {
 
 void Server::Drain() {
   if (draining_.exchange(true)) return;
+  g_draining_->Set(1);
   HM_LOG_INFO << "drain requested: /healthz -> 503, refusing new query "
                  "connections";
   WakeAllReactors();  // each reactor applies the rest (ApplyDrain)
@@ -418,8 +391,8 @@ void Server::Drain() {
 void Server::Stop() {
   MutexLock stop_lock(stop_mutex_);
   stopping_.store(true);
-  // The collector captures `this`; a scrape of a shared registry after
-  // this point must not reach into a dying server.
+  // The collector captures `this`; a scrape of an injected registry
+  // after this point must not reach into a dying server.
   if (collector_registered_) {
     registry_->RemoveCollector(collector_id_);
     collector_registered_ = false;
@@ -445,8 +418,6 @@ void Server::TeardownReactor(Reactor& r) {
   // delivered.
   std::vector<BatchCompletion> leftovers = r.WaitIdleAndCollect();
   for (BatchCompletion& done : leftovers) {
-    ApplyBatchStats(done);
-    r.batches_applied.fetch_add(1, std::memory_order_relaxed);
     if (!done.conn->closed) {
       done.conn->machine.QueueWrite(std::move(done.bytes));
     }
@@ -469,32 +440,37 @@ void Server::TeardownReactor(Reactor& r) {
     }
     conn->closed = true;
   }
+  const auto owned = static_cast<int64_t>(r.conns.size());
   r.conns.clear();  // closes every descriptor still owned here
-  r.open.store(0, std::memory_order_relaxed);
+  r.open->Add(-owned);
+  g_open_->Add(-owned);
   r.listener.Close();
 }
 
 ServerStats Server::stats() const {
-  ServerStats copy;
-  {
-    MutexLock lock(mutex_);
-    copy = stats_;
+  ServerStats s;
+  s.connections_accepted = c_accepted_->value();
+  s.connections_rejected = c_rejected_->value();
+  s.connections_reaped = c_reaped_->value();
+  s.connections_stalled = c_stalled_->value();
+  s.queries_shed = c_shed_->value();
+  s.batches = c_batches_->value();
+  s.queries_answered = c_answered_->value();
+  s.queries_rejected = c_rejected_queries_->value();
+  s.frames_coalesced = c_coalesced_->value();
+  s.bytes_read = c_bytes_read_->value();
+  s.bytes_written = c_bytes_written_->value();
+  s.queue_depth = static_cast<size_t>(g_queue_depth_->value());
+  s.queue_depth_peak = static_cast<size_t>(g_depth_peak_->value());
+  s.admin_requests = c_http_requests_->value();
+  s.per_reactor.reserve(reactors_.size());
+  for (const auto& r : reactors_) {
+    s.per_reactor.push_back(ReactorStats{
+        r->index, r->accepted->value(), r->reaped->value(),
+        static_cast<size_t>(r->open->value()), r->batches->value(),
+        r->outstanding()});
   }
-  copy.queue_depth = in_flight_.load(std::memory_order_relaxed);
-  copy.queue_depth_peak = queue_depth_peak_.load(std::memory_order_relaxed);
-  copy.admin_requests = admin_requests_.load(std::memory_order_relaxed);
-  copy.per_reactor.reserve(reactors_.size());
-  for (const auto& reactor : reactors_) {
-    ReactorStats rs = reactor->snapshot();
-    copy.connections_accepted += rs.connections_accepted;
-    copy.connections_rejected += rs.connections_rejected;
-    copy.connections_reaped += rs.connections_reaped;
-    copy.connections_stalled += rs.connections_stalled;
-    copy.bytes_read += rs.bytes_read;
-    copy.bytes_written += rs.bytes_written;
-    copy.per_reactor.push_back(std::move(rs));
-  }
-  return copy;
+  return s;
 }
 
 void Server::ReactorLoop(Reactor* r) {
@@ -604,7 +580,7 @@ void Server::AcceptPending(Reactor& r, bool admin) {
       // listeners; this covers the race before it runs). The close reads
       // as a refused connection — clients retry elsewhere.
       HM_LOG_INFO << "connection refused: draining";
-      r.rejected.fetch_add(1, std::memory_order_relaxed);
+      c_rejected_->Increment();
       continue;
     }
     if (!admin) {
@@ -616,7 +592,7 @@ void Server::AcceptPending(Reactor& r, bool admin) {
         open_query_conns_.fetch_sub(1);
         HM_LOG_INFO << "connection rejected: max_connections ("
                     << options_.max_connections << ") reached";
-        r.rejected.fetch_add(1, std::memory_order_relaxed);
+        c_rejected_->Increment();
         continue;
       }
       if (handoff_mode_ && reactors_.size() > 1) {
@@ -661,9 +637,14 @@ void Server::RegisterAccepted(Reactor& r, Socket socket, bool admin) {
     return;
   }
   r.conns.emplace(conn->id, conn);
-  if (admin) ++r.admin_conns;
-  r.open.store(r.conns.size(), std::memory_order_relaxed);
-  if (!admin) r.accepted.fetch_add(1, std::memory_order_relaxed);
+  r.open->Add(1);
+  g_open_->Add(1);
+  if (admin) {
+    ++r.admin_conns;
+  } else {
+    r.accepted->Increment();
+    c_accepted_->Increment();
+  }
   HM_LOG_INFO << (admin ? "admin" : "query") << " connection #" << conn->id
               << " accepted on reactor " << r.index << " ("
               << r.conns.size() << " open here)";
@@ -702,7 +683,7 @@ void Server::ReadFromConn(Reactor& r, ReactorConn* conn) {
         conn->http->Ingest(data);
       } else {
         conn->machine.Ingest(data);
-        r.bytes_read.fetch_add(io.bytes, std::memory_order_relaxed);
+        c_bytes_read_->Increment(io.bytes);
       }
       conn->last_activity = std::chrono::steady_clock::now();
       continue;
@@ -723,6 +704,7 @@ void Server::ReadFromConn(Reactor& r, ReactorConn* conn) {
 }
 
 void Server::FlushWrites(Reactor& r, ReactorConn* conn) {
+  (void)r;  // the capability is the point: only the owning loop writes
   while (conn->admin ? conn->http->wants_write()
                      : conn->machine.wants_write()) {
     std::string_view head = conn->admin ? conn->http->write_head()
@@ -733,7 +715,7 @@ void Server::FlushWrites(Reactor& r, ReactorConn* conn) {
         conn->http->ConsumeWrite(io.bytes);
       } else {
         conn->machine.ConsumeWrite(io.bytes);
-        r.bytes_written.fetch_add(io.bytes, std::memory_order_relaxed);
+        c_bytes_written_->Increment(io.bytes);
       }
       conn->last_activity = std::chrono::steady_clock::now();
       continue;
@@ -827,7 +809,7 @@ void Server::ServeAdminRequests(Reactor& r, ReactorConn* conn) {
     HttpResponse response = RouteAdmin(request);
     http->QueueWrite(EncodeHttpResponse(response, request.keep_alive));
     if (!request.keep_alive) http->MarkClose();
-    admin_requests_.fetch_add(1, std::memory_order_relaxed);
+    c_http_requests_->Increment();
   }
   if (http->corrupt() && !http->close_requested()) {
     // One diagnosis, then close after the flush; later bytes are ignored
@@ -840,7 +822,7 @@ void Server::ServeAdminRequests(Reactor& r, ReactorConn* conn) {
     bad.body = std::string(http->error().message()) + "\n";
     http->QueueWrite(EncodeHttpResponse(bad, /*keep_alive=*/false));
     http->MarkClose();
-    admin_requests_.fetch_add(1, std::memory_order_relaxed);
+    c_http_requests_->Increment();
   }
 }
 
@@ -899,7 +881,8 @@ void Server::CloseConn(Reactor& r, ReactorConn* conn) {
   // now) or an in-flight batch may briefly outlive it — either way the
   // completion sees `closed` and discards its bytes.
   r.conns.erase(conn->id);
-  r.open.store(r.conns.size(), std::memory_order_relaxed);
+  r.open->Add(-1);
+  g_open_->Add(-1);
 }
 
 void Server::ReapIdle(Reactor& r) {
@@ -920,7 +903,8 @@ void Server::ReapIdle(Reactor& r) {
     const bool was_admin = conn->admin;
     CloseConn(r, conn);
     if (was_admin) continue;  // admin reaps are not query-plane stats
-    r.reaped.fetch_add(1, std::memory_order_relaxed);
+    r.reaped->Increment();
+    c_reaped_->Increment();
   }
 }
 
@@ -937,7 +921,7 @@ void Server::CheckStalls(Reactor& r) {
                    << " closed: mid-frame stall exceeded "
                    << options_.stall_timeout_ms << " ms (slow loris?)";
     CloseConn(r, conn);
-    r.stalled.fetch_add(1, std::memory_order_relaxed);
+    c_stalled_->Increment();
   }
 }
 
@@ -968,21 +952,9 @@ void Server::ApplyDrain(Reactor& r) {
               << (r.conns.size() - r.admin_conns) << " still finishing";
 }
 
-void Server::ApplyBatchStats(const BatchCompletion& done) {
-  MutexLock lock(mutex_);
-  ++stats_.batches;
-  stats_.queries_answered += done.admitted;
-  stats_.queries_rejected += done.rejected;
-  stats_.queries_shed += done.shed;
-  const uint64_t frames = done.admitted + done.rejected + done.shed;
-  if (frames > 0) stats_.frames_coalesced += frames - 1;
-}
-
 void Server::DrainCompletions(Reactor& r) {
   std::vector<BatchCompletion> done = r.TakeCompletions();
   for (BatchCompletion& completion : done) {
-    ApplyBatchStats(completion);
-    r.batches_applied.fetch_add(1, std::memory_order_relaxed);
     ReactorConn* conn = completion.conn.get();
     if (conn->closed) continue;  // dropped while the batch executed
     conn->batch_in_flight = false;
@@ -1003,16 +975,16 @@ void Server::ExecuteBatch(std::shared_ptr<ReactorConn> conn,
                           std::chrono::steady_clock::time_point submitted) {
   h_queue_wait_->Observe(SecondsSince(submitted));
   std::string out;
-  size_t admitted = 0;
-  uint64_t rejected = 0;
-  uint64_t shed = 0;
-  BuildResponses(&frames, &conn->served, &out, &admitted, &rejected, &shed);
+  BuildResponses(&frames, &conn->served, &out);
   // Route the completion back through the connection's own reactor — the
   // pin set at registration is what keeps every per-connection touch on
-  // one loop.
+  // one loop. Counted before the push, so a client holding its answer
+  // already sees it in stats().
   Reactor* home = conn->reactor;
-  home->PushCompletion(BatchCompletion{std::move(conn), std::move(out),
-                                       admitted, rejected, shed});
+  c_batches_->Increment();
+  home->batches->Increment();
+  if (frames.size() > 1) c_coalesced_->Increment(frames.size() - 1);
+  home->PushCompletion(BatchCompletion{std::move(conn), std::move(out)});
   home->loop.Wakeup();
   // Last: once Stop() observes the outstanding count reach zero it may
   // tear the reactor down; FinishBatch's decrement-and-notify-under-lock
@@ -1021,14 +993,10 @@ void Server::ExecuteBatch(std::shared_ptr<ReactorConn> conn,
 }
 
 void Server::BuildResponses(std::vector<PendingFrame>* frames,
-                            uint64_t* served, std::string* out,
-                            size_t* admitted_out, uint64_t* rejected_out,
-                            uint64_t* shed_out) {
+                            uint64_t* served, std::string* out) {
   std::vector<WireResponse> responses(frames->size());
   std::vector<api::QueryRequest> admitted;
   std::vector<size_t> admitted_slot;
-  uint64_t rejected = 0;
-  uint64_t shed = 0;
   const auto now = std::chrono::steady_clock::now();
   const auto shed_budget =
       std::chrono::milliseconds(options_.max_queue_wait_ms);
@@ -1037,7 +1005,7 @@ void Server::BuildResponses(std::vector<PendingFrame>* frames,
     PendingFrame& frame = (*frames)[i];
     if (!frame.pre.ok()) {
       responses[i] = ErrorResponse(frame.pre);
-      ++rejected;
+      c_rejected_queries_->Increment();
       continue;
     }
     if (frame.header.version != kProtocolVersion) {
@@ -1045,7 +1013,7 @@ void Server::BuildResponses(std::vector<PendingFrame>* frames,
           StrFormat("protocol version %u not supported (server speaks %u)",
                     unsigned{frame.header.version},
                     unsigned{kProtocolVersion})));
-      ++rejected;
+      c_rejected_queries_->Increment();
       continue;
     }
     if (frame.header.type != static_cast<uint16_t>(FrameType::kQuery)) {
@@ -1055,14 +1023,14 @@ void Server::BuildResponses(std::vector<PendingFrame>* frames,
       responses[i] = ErrorResponse(Status::Unimplemented(
           StrFormat("frame type %u not supported here (want QUERY)",
                     unsigned{frame.header.type})));
-      ++rejected;
+      c_rejected_queries_->Increment();
       continue;
     }
     api::QueryRequest request;
     Status decoded = DecodeQueryBody(frame.body, &request);
     if (!decoded.ok()) {
       responses[i] = ErrorResponse(decoded);
-      ++rejected;
+      c_rejected_queries_->Increment();
       continue;
     }
     // Load shedding: a query that already out-waited its budget is worth
@@ -1075,7 +1043,7 @@ void Server::BuildResponses(std::vector<PendingFrame>* frames,
       responses[i] = ErrorResponse(Status::Unavailable(
           StrFormat("shed: waited past the %d ms queue budget; retry",
                     options_.max_queue_wait_ms)));
-      ++shed;
+      c_shed_->Increment();
       continue;
     }
     if (options_.max_queries_per_connection != 0 &&
@@ -1084,19 +1052,20 @@ void Server::BuildResponses(std::vector<PendingFrame>* frames,
           StrFormat("per-connection query quota (%llu) exhausted",
                     static_cast<unsigned long long>(
                         options_.max_queries_per_connection))));
-      ++rejected;
+      c_rejected_queries_->Increment();
       continue;
     }
-    // Depth is tracked unconditionally (the stats/gauge need it) and only
-    // *enforced* when a cap is configured.
-    const size_t depth = in_flight_.fetch_add(1) + 1;
-    UpdateMax(&queue_depth_peak_, depth);
-    if (options_.max_queue_depth != 0 && depth > options_.max_queue_depth) {
-      in_flight_.fetch_sub(1);
+    // Depth is tracked unconditionally (the gauge is the only store of
+    // it) and only *enforced* when a cap is configured.
+    const int64_t depth = g_queue_depth_->Add(1);
+    g_depth_peak_->UpdateMax(depth);
+    if (options_.max_queue_depth != 0 &&
+        depth > static_cast<int64_t>(options_.max_queue_depth)) {
+      g_queue_depth_->Add(-1);
       responses[i] = ErrorResponse(Status::ResourceExhausted(
           StrFormat("server queue depth (%zu) exceeded; retry later",
                     options_.max_queue_depth)));
-      ++rejected;
+      c_rejected_queries_->Increment();
       continue;
     }
     ++*served;
@@ -1111,7 +1080,8 @@ void Server::BuildResponses(std::vector<PendingFrame>* frames,
       metrics::ScopedTimer timer(h_engine_batch_);
       results = engine_->QueryBatch(admitted, &model);
     }
-    in_flight_.fetch_sub(admitted.size());
+    g_queue_depth_->Add(-static_cast<int64_t>(admitted.size()));
+    c_answered_->Increment(admitted.size());
     for (size_t j = 0; j < results.size(); ++j) {
       responses[admitted_slot[j]] =
           ToWire(results[j], *model, admitted[j].kind);
@@ -1139,15 +1109,12 @@ void Server::BuildResponses(std::vector<PendingFrame>* frames,
     }
     *out += encoded;
   }
-  *admitted_out = admitted.size();
-  *rejected_out = rejected;
-  *shed_out = shed;
 }
 
 std::string StatuszJson(api::Engine* engine, const Server* server,
                         metrics::Registry* registry) {
   HM_CHECK(engine != nullptr);
-  if (registry == nullptr) registry = &metrics::DefaultRegistry();
+  HM_CHECK(registry != nullptr);
   const std::shared_ptr<const api::Model> model = engine->model();
   const api::ModelSpec& spec = model->spec();
   const api::CacheStats cache = engine->cache_stats();

@@ -102,15 +102,18 @@ struct ServerOptions {
   /// loop. -1 disables; 0 binds an ephemeral port (read back with
   /// Server::admin_port()).
   int admin_port = -1;
-  /// Registry the server publishes its metrics into (and /metrics
-  /// renders). Null = metrics::DefaultRegistry(). Must outlive the
-  /// server; tests pass a private registry for isolated counters.
+  /// Registry the server keeps every count in (and /metrics renders).
+  /// Null (the default) = a registry the server owns, as a null `pool`
+  /// is for the pool. An injected registry must outlive the server and
+  /// belong to it alone: stats() reads the counters back, so a second
+  /// server on the same registry would add its traffic to this one's.
   metrics::Registry* registry = nullptr;
 };
 
-/// Counters for smoke tests and ops visibility. The aggregate fields sum
-/// over reactors; `per_reactor` breaks the connection-plane ones down by
-/// reactor (ReactorStats, one entry per reactor, index-ordered).
+/// Counters for smoke tests and ops visibility, read from the server's
+/// registry series (docs/observability.md). `per_reactor` breaks some of
+/// them down by reactor (ReactorStats, one entry per reactor,
+/// index-ordered).
 struct ServerStats {
   uint64_t connections_accepted = 0;
   /// Accepts closed because max_connections was reached (or draining).
@@ -143,8 +146,9 @@ struct ServerStats {
   size_t queue_depth_peak = 0;
   /// HTTP requests answered on the admin plane.
   uint64_t admin_requests = 0;
-  /// One entry per reactor (index-ordered); connection-plane counters
-  /// above are the sums of these.
+  /// One entry per reactor (index-ordered). Each event bumps its total
+  /// above and its reactor's series together, so the entries sum to the
+  /// totals.
   std::vector<ReactorStats> per_reactor;
 };
 
@@ -292,12 +296,9 @@ class Server {
                     std::vector<PendingFrame> frames,
                     std::chrono::steady_clock::time_point submitted);
   /// Admission checks and engine execution for one batch; appends the
-  /// encoded response frames to `*out`.
+  /// encoded response frames to `*out` and counts each frame's outcome.
   void BuildResponses(std::vector<PendingFrame>* frames, uint64_t* served,
-                      std::string* out, size_t* admitted_out,
-                      uint64_t* rejected_out, uint64_t* shed_out);
-  /// Folds one completion into the batch-plane stats (mutex_).
-  void ApplyBatchStats(const BatchCompletion& done);
+                      std::string* out);
   void WakeAllReactors();
 
   api::Engine* const engine_;
@@ -313,13 +314,38 @@ class Server {
   Listener admin_listener_;
 
   // --- observability (docs/observability.md) ---
+  /// The registry the server made when options.registry was null.
+  std::unique_ptr<metrics::Registry> owned_registry_;
   metrics::Registry* registry_ = nullptr;
+  /// Every count the server keeps, each one registry series bumped where
+  /// its event happens: on a reactor thread (connections, bytes, admin
+  /// requests) or on the pool worker running the batch (queries). The
+  /// per-reactor series live on each Reactor.
+  metrics::Counter* c_accepted_ = nullptr;
+  metrics::Counter* c_rejected_ = nullptr;
+  metrics::Counter* c_reaped_ = nullptr;
+  metrics::Counter* c_stalled_ = nullptr;
+  metrics::Counter* c_shed_ = nullptr;
+  metrics::Counter* c_batches_ = nullptr;
+  metrics::Counter* c_answered_ = nullptr;
+  metrics::Counter* c_rejected_queries_ = nullptr;
+  metrics::Counter* c_coalesced_ = nullptr;
+  metrics::Counter* c_bytes_read_ = nullptr;
+  metrics::Counter* c_bytes_written_ = nullptr;
+  metrics::Counter* c_http_requests_ = nullptr;
+  /// Queries admitted but not yet answered, across all connections: the
+  /// count max_queue_depth admission checks.
+  metrics::Gauge* g_queue_depth_ = nullptr;
+  metrics::Gauge* g_depth_peak_ = nullptr;
+  metrics::Gauge* g_open_ = nullptr;
+  metrics::Gauge* g_draining_ = nullptr;
   /// Per-stage latency histograms, observed directly on the hot path
   /// (two relaxed atomic adds each).
   metrics::Histogram* h_queue_wait_ = nullptr;
   metrics::Histogram* h_engine_batch_ = nullptr;
   metrics::Histogram* h_write_drain_ = nullptr;
-  /// The scrape-time collector bridging ServerStats + engine counters
+  /// The scrape-time collector bridging the values other owners hold
+  /// (engine cache and swaps, model version, uptime, outstanding batches)
   /// into registry_; removed in Stop (it captures `this`).
   uint64_t collector_id_ = 0;
   bool collector_registered_ = false;
@@ -335,11 +361,6 @@ class Server {
   std::atomic<bool> stopping_{false};
   /// Set by Drain() (any thread); each reactor applies it once.
   std::atomic<bool> draining_{false};
-  /// Queries admitted but not yet answered, across all connections.
-  std::atomic<size_t> in_flight_{0};
-  /// High-water mark of in_flight_ (ServerStats::queue_depth_peak).
-  std::atomic<size_t> queue_depth_peak_{0};
-  std::atomic<uint64_t> admin_requests_{0};
   /// Open query-plane connections across all reactors, reserved at
   /// accept time (before any handoff) so max_connections is enforced
   /// globally, not per reactor.
@@ -347,18 +368,14 @@ class Server {
   /// Round-robin cursor for kHandoff socket distribution.
   std::atomic<size_t> next_handoff_{0};
 
-  // --- cross-thread state ---
-  mutable Mutex mutex_;
-  ServerStats stats_ HM_GUARDED_BY(mutex_);
-
   Mutex stop_mutex_;  // serializes concurrent Stop calls
 };
 
 /// The /statusz document (also what `hypermine_serve`'s `!stats` prints):
-/// model version + ModelSpec + provenance, build info, uptime, and — when
-/// `server` is non-null — its ServerStats (per-reactor breakdown
-/// included) and the registry's histogram percentiles. `engine` must be
-/// non-null; `registry` null means metrics::DefaultRegistry().
+/// model version + ModelSpec + provenance, build info, uptime, the
+/// server's ServerStats (per-reactor breakdown included) when `server` is
+/// non-null, and every metric in `registry` with histogram percentiles.
+/// `engine` and `registry` must be non-null.
 std::string StatuszJson(api::Engine* engine, const Server* server,
                         metrics::Registry* registry);
 

@@ -50,40 +50,17 @@ uint64_t Fnv1a(std::string_view data) {
   return hash;
 }
 
-/// Bounds-checked sequential reader over the snapshot body.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  template <typename T>
-  bool Read(T* value) {
-    if (data_.size() - pos_ < sizeof(T)) return false;
-    std::memcpy(value, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
+/// Reads one u32-length-prefixed string, the snapshot's string encoding
+/// (the net protocol's is u16-prefixed); false on underrun.
+bool ReadString(WireReader* reader, std::string* out) {
+  uint32_t length = 0;
+  std::string_view bytes;
+  if (!reader->ReadPod(&length) || !reader->ReadBytes(length, &bytes)) {
+    return false;
   }
-
-  bool ReadBytes(size_t n, std::string_view* out) {
-    if (data_.size() - pos_ < n) return false;
-    *out = data_.substr(pos_, n);
-    pos_ += n;
-    return true;
-  }
-
-  bool ReadString(std::string* out) {
-    uint32_t length = 0;
-    std::string_view bytes;
-    if (!Read(&length) || !ReadBytes(length, &bytes)) return false;
-    out->assign(bytes);
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
+  out->assign(bytes);
+  return true;
+}
 
 Status Corrupt(const std::string& what) {
   return Status::Corrupted("snapshot: " + what);
@@ -126,13 +103,13 @@ void AppendSpecTrailer(std::string* body, const api::ModelSpec& spec) {
   AppendString(body, spec.provenance.note);
 }
 
-StatusOr<api::ModelSpec> ParseSpecTrailer(Reader* reader) {
+StatusOr<api::ModelSpec> ParseSpecTrailer(WireReader* reader) {
   api::ModelSpec spec;
   uint32_t k = 0;
   uint32_t flags = 0;
-  if (!reader->Read(&k) || !reader->Read(&spec.config.gamma_edge) ||
-      !reader->Read(&spec.config.gamma_hyper) || !reader->Read(&flags) ||
-      !reader->Read(&spec.provenance.created_unix)) {
+  if (!reader->ReadPod(&k) || !reader->ReadPod(&spec.config.gamma_edge) ||
+      !reader->ReadPod(&spec.config.gamma_hyper) || !reader->ReadPod(&flags) ||
+      !reader->ReadPod(&spec.provenance.created_unix)) {
     return Corrupt("truncated spec trailer");
   }
   if ((flags & ~kKnownConfigFlags) != 0) {
@@ -143,10 +120,10 @@ StatusOr<api::ModelSpec> ParseSpecTrailer(Reader* reader) {
       (flags & kFlagRestrictPairsToEdges) != 0;
   spec.config.keep_pairs_without_edges =
       (flags & kFlagKeepPairsWithoutEdges) != 0;
-  if (!reader->ReadString(&spec.discretization) ||
-      !reader->ReadString(&spec.provenance.source) ||
-      !reader->ReadString(&spec.provenance.git_sha) ||
-      !reader->ReadString(&spec.provenance.note)) {
+  if (!ReadString(reader, &spec.discretization) ||
+      !ReadString(reader, &spec.provenance.source) ||
+      !ReadString(reader, &spec.provenance.git_sha) ||
+      !ReadString(reader, &spec.provenance.note)) {
     return Corrupt("truncated spec strings");
   }
   return spec;
@@ -233,11 +210,11 @@ std::string SerializeSnapshot(const core::DirectedHypergraph& graph,
 StatusOr<LoadedSnapshot> DeserializeSnapshotFull(std::string_view data) {
   HM_ASSIGN_OR_RETURN(auto envelope, CheckEnvelope(data));
   const uint32_t version = envelope.first;
-  Reader reader(envelope.second);
+  WireReader reader(envelope.second);
 
   uint64_t num_vertices = 0;
   uint64_t num_edges = 0;
-  if (!reader.Read(&num_vertices) || !reader.Read(&num_edges)) {
+  if (!reader.ReadPod(&num_vertices) || !reader.ReadPod(&num_edges)) {
     return Corrupt("truncated counts");
   }
   if (num_vertices == 0 || num_vertices > core::kMaxVertices) {
@@ -264,7 +241,7 @@ StatusOr<LoadedSnapshot> DeserializeSnapshotFull(std::string_view data) {
 
   std::vector<uint32_t> name_lengths(num_vertices);
   for (uint32_t& len : name_lengths) {
-    if (!reader.Read(&len)) return Corrupt("truncated name table");
+    if (!reader.ReadPod(&len)) return Corrupt("truncated name table");
   }
   std::vector<std::string> names;
   names.reserve(num_vertices);
@@ -286,9 +263,9 @@ StatusOr<LoadedSnapshot> DeserializeSnapshotFull(std::string_view data) {
     bool ok = true;
     if (wide) {
       uint32_t tail32[core::kMaxTailSize];
-      for (uint32_t& t : tail32) ok = ok && reader.Read(&t);
+      for (uint32_t& t : tail32) ok = ok && reader.ReadPod(&t);
       uint32_t head32 = 0;
-      ok = ok && reader.Read(&head32) && reader.Read(&weight);
+      ok = ok && reader.ReadPod(&head32) && reader.ReadPod(&weight);
       if (ok) {
         for (uint32_t t : tail32) {
           if (t != core::kNoVertex) tail.push_back(t);
@@ -297,9 +274,9 @@ StatusOr<LoadedSnapshot> DeserializeSnapshotFull(std::string_view data) {
       }
     } else {
       uint16_t tail16[core::kMaxTailSize];
-      for (uint16_t& t : tail16) ok = ok && reader.Read(&t);
+      for (uint16_t& t : tail16) ok = ok && reader.ReadPod(&t);
       uint16_t head16 = 0;
-      ok = ok && reader.Read(&head16) && reader.Read(&weight);
+      ok = ok && reader.ReadPod(&head16) && reader.ReadPod(&weight);
       if (ok) {
         for (uint16_t t : tail16) {
           if (t != kNoVertex16) tail.push_back(t);
@@ -324,7 +301,7 @@ StatusOr<LoadedSnapshot> DeserializeSnapshotFull(std::string_view data) {
     HM_ASSIGN_OR_RETURN(loaded.spec, ParseSpecTrailer(&reader));
     loaded.has_spec = true;
   }
-  if (!reader.AtEnd()) return Corrupt("trailing bytes after snapshot body");
+  if (!reader.empty()) return Corrupt("trailing bytes after snapshot body");
   return loaded;
 }
 

@@ -109,8 +109,10 @@ double Histogram::Snapshot::Percentile(double p) const {
 
 const std::vector<double>& DefaultLatencyBuckets() {
   static const std::vector<double> kBuckets = {
-      0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-      0.01,    0.025,  0.05,    0.1,    0.25,  1.0,    2.5};
+      0.000001, 0.0000025, 0.000005, 0.00001, 0.000025,
+      0.00005,  0.0001,    0.00025,  0.0005,  0.001,
+      0.0025,   0.005,     0.01,     0.025,   0.05,
+      0.1,      0.25,      1.0,      2.5};
   return kBuckets;
 }
 
@@ -120,6 +122,8 @@ ScopedTimer::~ScopedTimer() {
                           std::chrono::steady_clock::now() - start_)
                           .count());
 }
+
+Registry::Registry() { ProcessUptimeSeconds(); }
 
 Registry::Entry* Registry::FindOrCreateLocked(std::string_view name,
                                               std::string_view help,
@@ -292,14 +296,6 @@ std::string Registry::JsonText() const {
   }
   return "{\"counters\": {" + counters + "}, \"gauges\": {" + gauges +
          "}, \"histograms\": {" + histograms + "}}";
-}
-
-Registry& DefaultRegistry() {
-  static Registry* registry = [] {
-    ProcessUptimeSeconds();  // anchor the uptime clock early
-    return new Registry();
-  }();
-  return *registry;
 }
 
 double ProcessUptimeSeconds() {

@@ -16,7 +16,7 @@
 
 namespace hypermine::metrics {
 
-/// Process-wide observability primitives (docs/observability.md): named
+/// Observability primitives (docs/observability.md): named
 /// counters, gauges, and fixed-bucket latency histograms collected in a
 /// Registry and rendered as Prometheus text (/metrics) or JSON (/statusz,
 /// `!stats`). Hot-path updates are single relaxed atomic operations — no
@@ -31,8 +31,8 @@ namespace hypermine::metrics {
 
 /// Monotonic event count. Increment is the hot-path operation; BridgeTo
 /// overwrites the value wholesale and exists ONLY for scrape-time bridging
-/// of counters owned elsewhere (api::CacheStats, a ServerStats field) into
-/// the registry — never mix Increment and BridgeTo on one counter.
+/// of counters another owner keeps (api::Engine's cache and swap counts)
+/// into the registry — never mix Increment and BridgeTo on one counter.
 class Counter {
  public:
   void Increment(uint64_t n = 1) {
@@ -52,8 +52,10 @@ class Counter {
 class Gauge {
  public:
   void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(int64_t delta) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+  /// Returns the value after the add, so a gauge can be the count that
+  /// admission control checks against its cap.
+  int64_t Add(int64_t delta) {
+    return value_.fetch_add(delta, std::memory_order_relaxed) + delta;
   }
   /// Raises the gauge to `value` if it is below it (lock-free CAS loop).
   void UpdateMax(int64_t value);
@@ -104,8 +106,8 @@ class Histogram {
 };
 
 /// Default latency bucket layout, in SECONDS (Prometheus convention for
-/// *_seconds histograms): 14 exponential-ish bounds from 50 µs to 2.5 s.
-/// Chosen so loopback-serving stage latencies (tens of µs to tens of ms)
+/// *_seconds histograms): 19 exponential-ish bounds from 1 µs to 2.5 s.
+/// Chosen so loopback-serving stage latencies (single µs to tens of ms)
 /// land mid-range with resolution on both sides.
 const std::vector<double>& DefaultLatencyBuckets();
 
@@ -134,13 +136,15 @@ class ScopedTimer {
 ///
 /// Collectors are callbacks run (serialized, under a lock) at the start of
 /// every render: the place to bridge externally-owned stats (engine cache
-/// counters, current queue depth) into registry metrics right before they
-/// are read. AddCollector returns an id for RemoveCollector — an embedder
-/// with a shorter lifetime than the registry (e.g. net::Server on the
-/// default registry) must deregister before dying.
+/// counters, the live model version) into registry metrics right before
+/// they are read. AddCollector returns an id for RemoveCollector — an
+/// embedder with a shorter lifetime than the registry (e.g. net::Server
+/// on an injected registry) must deregister before dying.
 class Registry {
  public:
-  Registry() = default;
+  /// Also anchors ProcessUptimeSeconds(), so a serving process's uptime
+  /// counts from no later than its first registry.
+  Registry();
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
@@ -189,9 +193,6 @@ class Registry {
       HM_GUARDED_BY(collector_mutex_);
   uint64_t next_collector_id_ HM_GUARDED_BY(collector_mutex_) = 1;
 };
-
-/// The process-wide registry every subsystem publishes into by default.
-Registry& DefaultRegistry();
 
 /// Seconds since this process first touched the metrics layer (steady
 /// clock; effectively process start for any binary that serves).

@@ -299,7 +299,7 @@ TEST_P(ChaosTest, RandomizedFaultsNeverCrashCorruptOrMiscount) {
 
   // Counters: the server's view must cover every shed the clients saw
   // (sheds whose response died on a faulted socket are server-only), and
-  // the registry must bridge the same numbers for /metrics.
+  // /metrics must render the same numbers.
   ServerStats stats = server->stats();
   EXPECT_GE(stats.queries_shed, client_unavailable_seen.load());
   EXPECT_GE(stats.connections_stalled, 1u) << "the loris was never caught";

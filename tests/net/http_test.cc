@@ -9,6 +9,8 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "api/engine.h"
@@ -19,6 +21,7 @@
 #include "net/socket.h"
 #include "util/logging.h"
 #include "util/metrics.h"
+#include "util/string_util.h"
 
 namespace hypermine::net {
 namespace {
@@ -287,14 +290,17 @@ struct AdminServer {
   std::unique_ptr<Server> server;
 };
 
-std::unique_ptr<AdminServer> StartAdminServerOrDie() {
+/// `inject_registry` false leaves ServerOptions::registry null, so the
+/// server counts into a registry of its own and `registry` stays unused.
+std::unique_ptr<AdminServer> StartAdminServerOrDie(
+    bool inject_registry = true) {
   auto fixture = std::make_unique<AdminServer>();
   fixture->model = NamedModel();
   fixture->engine = std::make_unique<api::Engine>(fixture->model);
   ServerOptions options;
   options.port = 0;
   options.admin_port = 0;  // ephemeral — tests must not collide on ports
-  options.registry = &fixture->registry;
+  if (inject_registry) options.registry = &fixture->registry;
   auto server = Server::Start(fixture->engine.get(), options);
   HM_CHECK_OK(server.status());
   fixture->server = std::move(*server);
@@ -395,6 +401,55 @@ TEST(AdminPlaneTest, MetricsScrapeDuringLiveTrafficSeesTheCountersMove) {
                         std::to_string(fixture->model->version()) +
                         "\"} 1"),
             std::string::npos);
+}
+
+TEST(AdminPlaneTest, TwoServersEachScrapeOnlyTheirOwnCounts) {
+  // Neither server is given a registry, so each keeps its counts in one
+  // of its own: a scrape of A must not read B's traffic, or B's engine.
+  auto a = StartAdminServerOrDie(/*inject_registry=*/false);
+  auto b = StartAdminServerOrDie(/*inject_registry=*/false);
+  const auto send = [](const AdminServer& fixture, int queries) {
+    auto client = Client::Connect("127.0.0.1", fixture.server->port(), 2000);
+    ASSERT_TRUE(client.ok()) << client.status();
+    for (int i = 0; i < queries; ++i) {
+      auto response = client->Query(NamedQuery({"A"}));
+      ASSERT_TRUE(response.ok()) << response.status();
+      EXPECT_EQ(response->code, StatusCode::kOk);
+    }
+  };
+  send(*a, 3);
+  send(*b, 1);
+
+  for (const auto& [fixture, answered, cache_hits] :
+       {std::tuple{a.get(), 3, 2}, std::tuple{b.get(), 1, 0}}) {
+    Socket admin = ConnectAdminOrDie(fixture->server->admin_port());
+    const std::string scrape = Get(&admin, "/metrics");
+    EXPECT_NE(scrape.find(StrFormat(
+                  "\nhypermine_net_queries_answered_total %d\n", answered)),
+              std::string::npos)
+        << scrape;
+    // The same query repeated: every answer after the first is a hit on
+    // this server's own engine cache.
+    EXPECT_NE(scrape.find(StrFormat(
+                  "\nhypermine_engine_cache_hits_total %d\n", cache_hits)),
+              std::string::npos)
+        << scrape;
+    const ServerStats stats = fixture->server->stats();
+    for (const auto& [name, value] :
+         {std::pair{"hypermine_net_queries_answered_total",
+                    stats.queries_answered},
+          std::pair{"hypermine_net_connections_accepted_total",
+                    stats.connections_accepted},
+          std::pair{"hypermine_net_batches_total", stats.batches},
+          std::pair{"hypermine_net_bytes_read_total", stats.bytes_read},
+          std::pair{"hypermine_net_bytes_written_total",
+                    stats.bytes_written}}) {
+      EXPECT_NE(scrape.find(StrFormat("\n%s %llu\n", name,
+                                      static_cast<unsigned long long>(value))),
+                std::string::npos)
+          << "stats() disagrees with its own scrape on " << name;
+    }
+  }
 }
 
 TEST(AdminPlaneTest, StatuszCarriesModelAndServerState) {

@@ -4,6 +4,7 @@
 // down, and a hot swap under live connections must flip model_version with
 // zero dropped or misrouted responses.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -226,17 +227,31 @@ TEST(ServerTest, ManyConnectionsOnATinySharedPool) {
 }
 
 TEST(ServerTest, IdleConnectionsVastlyOutnumberPoolThreads) {
-  // The core multiplexing claim: hundreds of idle (never-written)
+  // The core multiplexing claim: a thousand idle (never-written)
   // connections coexist with live traffic on a pool of 2, and none of
-  // them is rejected or interferes with answers.
+  // them is rejected, reaped, or interferes with answers.
+  constexpr int kIdle = 1024;
+  // Both ends of every connection are descriptors of this process.
+  constexpr rlim_t kDescriptors = 2 * kIdle + 64;
+  struct rlimit limit;
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &limit), 0);
+  if (limit.rlim_cur < kDescriptors) {
+    if (limit.rlim_max < kDescriptors) {
+      GTEST_SKIP() << "RLIMIT_NOFILE hard limit " << limit.rlim_max
+                   << " is below the " << kDescriptors
+                   << " descriptors this test needs";
+    }
+    limit.rlim_cur = kDescriptors;
+    ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &limit), 0);
+  }
   api::Engine engine(NamedModel());
   ServerOptions options;
   options.num_threads = 2;
-  options.max_connections = 512;
+  options.max_connections = 2048;
   auto server = StartOrDie(&engine, options);
 
   std::vector<Socket> idle;
-  for (int i = 0; i < 256; ++i) {
+  for (int i = 0; i < kIdle; ++i) {
     auto socket = Socket::Connect("127.0.0.1", server->port(), 2000);
     ASSERT_TRUE(socket.ok()) << socket.status();
     idle.push_back(std::move(*socket));
@@ -248,8 +263,11 @@ TEST(ServerTest, IdleConnectionsVastlyOutnumberPoolThreads) {
     EXPECT_EQ(response->code, StatusCode::kOk);
   }
   ServerStats stats = server->stats();
-  EXPECT_EQ(stats.connections_accepted, 257u);
+  EXPECT_EQ(stats.connections_accepted, kIdle + 1u);
   EXPECT_EQ(stats.connections_rejected, 0u);
+  EXPECT_EQ(stats.queries_answered, 8u);
+  // Still connected: each idle socket sees silence, not a hangup.
+  for (const Socket& socket : idle) EXPECT_FALSE(socket.Readable(0));
 }
 
 TEST(ServerTest, QueueDepthNeverDropsQueries) {

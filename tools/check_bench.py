@@ -4,8 +4,7 @@
 
 Usage: check_bench.py [--threshold=0.30] BASELINE=FRESH [BASELINE=FRESH ...]
 
-e.g.  check_bench.py BENCH_build.json=/tmp/fresh_build.json \\
-                     BENCH_net.json=/tmp/fresh_net.json
+e.g.  check_bench.py BENCH_build.json=/tmp/fresh_build.json
 
 Policy (see docs/ci.md):
   - Throughput is compared ONLY when `hardware_threads` and the workload
@@ -18,7 +17,7 @@ Policy (see docs/ci.md):
     broken emitter cannot hide behind a hardware mismatch.
   - A regression fails; an improvement is reported and passes. The gate
     is deliberately loose (30%) because the numbers come from shared CI
-    runners — it catches "the event loop got 10x slower", not 2% drift.
+    runners — it catches "the build got 10x slower", not 2% drift.
 
 Stdlib only: this runs in CI and in environments where nothing can be
 pip-installed.
@@ -27,11 +26,10 @@ import json
 import sys
 from pathlib import Path
 
-# bench name -> (dotted path to the throughput metric, human unit)
+# bench name -> (dotted path to the throughput metric, human unit).
+# Serving is measured by perfbench/ and bounded by BENCHMARK.json, not here.
 METRICS = {
     "build_throughput": ("candidates_per_sec", "candidates/s"),
-    "net_throughput": ("net.qps", "wire qps"),
-    "serve_throughput": ("multi_thread.qps", "engine qps"),
 }
 
 # bench name -> keys that define the workload shape; a compare only makes
@@ -40,31 +38,6 @@ WORKLOAD_KEYS = {
     # "simd" makes the gate tier-aware: a --simd=scalar run is a different
     # workload from an avx512 one and the two are never compared.
     "build_throughput": ("attrs", "rows", "k", "smoke", "simd"),
-    "net_throughput": ("vertices", "edges", "queries", "clients",
-                       "pipeline", "num_reactors"),
-    "serve_throughput": ("vertices", "edges", "queries"),
-}
-
-# bench name -> (p50 path, p99 path) pairs. Latency percentiles are never
-# compared against the baseline (they are workload- and host-shaped), but
-# whenever a document carries one it must be well-formed: both ends of
-# the pair present, numeric, positive, and p50 <= p99. A pair that is
-# entirely absent is fine (older baselines predate stage histograms).
-LATENCY_PAIRS = {
-    "net_throughput": (
-        ("net.p50_round_ms", "net.p99_round_ms"),
-        ("idle.p50_round_ms", "idle.p99_round_ms"),
-        ("stage_latency_ms.queue_wait.p50",
-         "stage_latency_ms.queue_wait.p99"),
-        ("stage_latency_ms.engine_batch.p50",
-         "stage_latency_ms.engine_batch.p99"),
-        ("stage_latency_ms.write_drain.p50",
-         "stage_latency_ms.write_drain.p99"),
-    ),
-    "serve_throughput": (
-        ("single_thread.p50_batch_ms", "single_thread.p99_batch_ms"),
-        ("multi_thread.p50_batch_ms", "multi_thread.p99_batch_ms"),
-    ),
 }
 
 
@@ -72,13 +45,11 @@ def is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def check_build_structure(path, doc, bench):
+def check_build_structure(path, doc):
     """Structure checks specific to build_throughput: the SIMD dispatch
     fields are validated unconditionally — in every document, whether or
     not the throughput comparison runs — so an emitter that stops
     recording its tier cannot hide behind a workload mismatch."""
-    if bench != "build_throughput":
-        return []
     failures = []
     simd = doc.get("simd")
     if not isinstance(simd, str) or not simd:
@@ -122,27 +93,6 @@ def check_build_structure(path, doc, bench):
                         or entry.get("candidates_per_sec") <= 0):
                     failures.append(f"{path}: large.tiers[{i}] malformed "
                                     f"({entry!r})")
-    return failures
-
-
-def check_latencies(path, doc, bench):
-    """Returns failure strings for malformed p50/p99 latency fields."""
-    failures = []
-    for p50_key, p99_key in LATENCY_PAIRS.get(bench, ()):
-        p50 = dig(doc, p50_key)
-        p99 = dig(doc, p99_key)
-        if p50 is None and p99 is None:
-            continue  # pair absent entirely: an older document, not a bug
-        broken = False
-        for key, value in ((p50_key, p50), (p99_key, p99)):
-            if (not isinstance(value, (int, float))
-                    or isinstance(value, bool) or value <= 0):
-                failures.append(f"{path}: latency {key!r} missing or "
-                                f"non-positive ({value!r})")
-                broken = True
-        if not broken and p50 > p99:
-            failures.append(f"{path}: {p50_key} ({p50}) exceeds {p99_key} "
-                            f"({p99}) — percentiles are inverted")
     return failures
 
 
@@ -193,12 +143,8 @@ def check_pair(baseline_path, fresh_path, threshold):
             failures.append(
                 f"{path}: metric {metric_path!r} missing or non-positive "
                 f"({value!r})")
-    # Latency percentiles are part of the structure check too: validated
-    # in both documents whenever present, never compared across them.
-    failures.extend(check_latencies(baseline_path, baseline, bench))
-    failures.extend(check_latencies(fresh_path, fresh, bench))
-    failures.extend(check_build_structure(baseline_path, baseline, bench))
-    failures.extend(check_build_structure(fresh_path, fresh, bench))
+    failures.extend(check_build_structure(baseline_path, baseline))
+    failures.extend(check_build_structure(fresh_path, fresh))
     if failures:
         return failures
 

@@ -154,26 +154,26 @@ void PrintResponse(const StatusOr<api::QueryResponse>& response,
 /// Runs one hot reload through api::ReloadEngineFromFile and reports the
 /// outcome — called on the reload pool, never on the stdin/reactor thread
 /// (snapshot IO and the index build block for a large model). Outcome
-/// counters land in the default registry so /metrics and !stats show how
+/// counters land in the process's registry so /metrics and !stats show how
 /// often reloads succeed, fail to load, or go live and get rolled back.
-void RunReload(api::Engine* engine, const std::string& path) {
+void RunReload(api::Engine* engine, metrics::Registry* registry,
+               const std::string& path) {
   Stopwatch timer;
   const api::ReloadReport report = api::ReloadEngineFromFile(engine, path);
-  metrics::Registry& registry = metrics::DefaultRegistry();
   registry
-      .GetCounter("hypermine_reloads_total",
+      ->GetCounter("hypermine_reloads_total",
                   "Hot reload attempts via !reload.")
       ->Increment();
   if (report.rolled_back) {
     registry
-        .GetCounter("hypermine_reload_rollbacks_total",
+        ->GetCounter("hypermine_reload_rollbacks_total",
                     "Reloads that went live, failed the post-swap probe, "
                     "and were rolled back.")
         ->Increment();
   }
   if (!report.status.ok()) {
     registry
-        .GetCounter("hypermine_reload_failures_total",
+        ->GetCounter("hypermine_reload_failures_total",
                     "Reloads that did not leave a new model serving.")
         ->Increment();
     std::printf(report.rolled_back
@@ -202,11 +202,12 @@ void RunReload(api::Engine* engine, const std::string& path) {
 /// serialize — api::ReloadEngineFromFile requires it) while stdin queries
 /// and the TCP front-end keep answering on the old model.
 void RunCommand(const std::string& line, api::Engine* engine,
-                net::Server* server, ThreadPool* reload_pool) {
+                net::Server* server, metrics::Registry* registry,
+                ThreadPool* reload_pool) {
   if (line == "!stats") {
     // The same JSON document GET /statusz serves, so operators without
     // curl (or without --admin-port) read identical numbers on stdin.
-    std::printf("%s", net::StatuszJson(engine, server, nullptr).c_str());
+    std::printf("%s", net::StatuszJson(engine, server, registry).c_str());
     std::fflush(stdout);
     return;
   }
@@ -232,7 +233,8 @@ void RunCommand(const std::string& line, api::Engine* engine,
   }
   if (line.rfind("!reload ", 0) == 0) {
     const std::string path = Trim(line.substr(8));
-    reload_pool->Submit([engine, path] { RunReload(engine, path); });
+    reload_pool->Submit(
+        [engine, registry, path] { RunReload(engine, registry, path); });
     std::printf("reload of %s started\n", path.c_str());
     std::fflush(stdout);
     return;
@@ -244,6 +246,10 @@ void RunCommand(const std::string& line, api::Engine* engine,
 }
 
 int RunServe(const FlagParser& flags) {
+  // The process's one metrics store: the server counts into it, reloads
+  // count their outcomes, and !stats prints it. Declared first, so it
+  // outlives everything that writes to it.
+  metrics::Registry registry;
   if (flags.Has("log-level")) {
     internal_logging::LogSeverity severity;
     if (!internal_logging::ParseLogSeverity(
@@ -337,6 +343,7 @@ int RunServe(const FlagParser& flags) {
       }
       server_options.admin_port = static_cast<int>(admin_port);
     }
+    server_options.registry = &registry;
     auto started = net::Server::Start(&engine, server_options);
     if (!started.ok()) return Fail(started.status());
     server = std::move(*started);
@@ -363,7 +370,7 @@ int RunServe(const FlagParser& flags) {
     line = Trim(line);
     if (line.empty()) continue;
     if (line[0] == '!') {
-      RunCommand(line, &engine, server.get(), &reload_pool);
+      RunCommand(line, &engine, server.get(), &registry, &reload_pool);
       continue;
     }
     request.names.clear();
