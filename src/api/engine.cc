@@ -1,7 +1,6 @@
 #include "api/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <functional>
 #include <optional>
@@ -41,12 +40,11 @@ Engine::Engine(std::shared_ptr<const Model> model, EngineOptions options)
       shards_.push_back(std::move(shard));
     }
   }
-  if (options.pool != nullptr) {
-    pool_ = options.pool;
-  } else {
-    owned_pool_ = std::make_unique<ThreadPool>(options.num_threads);
-    pool_ = owned_pool_.get();
-  }
+  // The caller answers too, so N threads need N - 1 helpers.
+  const size_t threads = options.num_threads == 0
+                             ? ThreadPool::HardwareThreads()
+                             : options.num_threads;
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads - 1);
 }
 
 Engine::CacheShard& Engine::ShardFor(const std::string& key) const {
@@ -198,51 +196,18 @@ std::vector<StatusOr<QueryResponse>> Engine::QueryBatch(
   // the same model, and a concurrent Swap cannot tear the batch.
   std::shared_ptr<const Model> model = this->model();
   if (model_out != nullptr) *model_out = model;
-  const size_t n = requests.size();
-  if (n == 0) return {};
-  if (n == 1) return {Process(*model, requests[0])};
-
-  // Shared batch state: workers steal indices off an atomic cursor. Tasks
-  // hold shared ownership because a queued task can outlive the batch when
-  // its siblings drained every index first.
-  struct BatchState {
-    explicit BatchState(size_t n)
-        : results(n, StatusOr<QueryResponse>(
-                         Status::Internal("query not processed"))) {}
-    const std::vector<QueryRequest>* requests = nullptr;
-    std::shared_ptr<const Model> model;
-    std::vector<StatusOr<QueryResponse>> results;
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> done{0};
-    Mutex mutex;
-    CondVar cv;
-    bool complete HM_GUARDED_BY(mutex) = false;
+  // Every index is answered below; the placeholder never escapes.
+  std::vector<StatusOr<QueryResponse>> results(requests.size(),
+                                               Status::Internal("unanswered"));
+  auto answer = [this, &model, &requests, &results](size_t i) {
+    results[i] = Process(*model, requests[i]);
   };
-  auto state = std::make_shared<BatchState>(n);
-  state->requests = &requests;
-  state->model = std::move(model);
-
-  auto run_chunk = [this, state, n] {
-    size_t i;
-    while ((i = state->next.fetch_add(1)) < n) {
-      state->results[i] = Process(*state->model, (*state->requests)[i]);
-      if (state->done.fetch_add(1) + 1 == n) {
-        MutexLock lock(state->mutex);
-        state->complete = true;
-        state->cv.NotifyAll();
-      }
-    }
-  };
-
-  const size_t chunks = std::min(pool_->num_threads(), n);
-  std::vector<std::function<void()>> tasks(chunks, run_chunk);
-  pool_->SubmitAll(std::move(tasks));
-
-  MutexLock lock(state->mutex);
-  state->cv.Wait(state->mutex, [&state]() HM_REQUIRES(state->mutex) {
-    return state->complete;
-  });
-  return std::move(state->results);
+  if (pool_ == nullptr) {
+    for (size_t i = 0; i < requests.size(); ++i) answer(i);
+  } else {
+    pool_->ParallelFor(requests.size(), answer);
+  }
+  return results;
 }
 
 StatusOr<QueryResponse> Engine::Query(

@@ -55,8 +55,10 @@ struct QueryResponse {
 /// Tuning knobs for an Engine; the defaults serve correctly out of the
 /// box. All fields are read once at construction.
 struct EngineOptions {
-  /// Worker threads; 0 = hardware concurrency (at least 1). Ignored when
-  /// `pool` is set.
+  /// Threads that answer one QueryBatch, the calling thread included;
+  /// 0 = hardware concurrency (at least 1). At 1 the engine starts no
+  /// thread and answers every batch on its caller; at N > 1 it owns N - 1
+  /// helper threads.
   size_t num_threads = 0;
   /// LRU result-cache capacity in entries (total across all shards); 0
   /// disables caching.
@@ -72,9 +74,6 @@ struct EngineOptions {
   /// explicit request is honored after clamping to cache_capacity, so
   /// every shard holds at least one entry.
   size_t cache_shards = 0;
-  /// Optional caller-provided worker pool shared with other subsystems
-  /// (e.g. the model builder). Not owned; must outlive the engine.
-  ThreadPool* pool = nullptr;
 };
 
 /// Lifetime counters of the engine's result cache (monotonic; a Swap
@@ -87,10 +86,10 @@ struct CacheStats {
 };
 
 /// The serving half of the API: answers association queries against a hot-
-/// swappable, immutable Model. One Engine owns a worker pool (or borrows a
-/// shared one), a sharded LRU result cache (key-hash picks the shard, each
-/// shard has its own lock — no query ever takes a global cache lock), and
-/// a shared_ptr<const Model> slot.
+/// swappable, immutable Model. One Engine owns the helper threads a batch
+/// fans out on (none at num_threads = 1), a sharded LRU result cache
+/// (key-hash picks the shard, each shard has its own lock — no query ever
+/// takes a global cache lock), and a shared_ptr<const Model> slot.
 ///
 /// Hot swap: Swap(new_model) atomically replaces the slot. Queries acquire
 /// the model pointer once per batch, so in-flight batches finish against
@@ -117,8 +116,9 @@ class Engine {
   std::shared_ptr<const Model> model() const;
 
   /// Answers a batch; result i corresponds to requests[i], each with its
-  /// own StatusOr (one malformed query does not fail the batch).
-  /// Thread-safe — concurrent batches interleave on the same pool. All
+  /// own StatusOr (one malformed query does not fail the batch). The
+  /// calling thread answers, joined by the engine's helpers when it has
+  /// any. Thread-safe — concurrent batches share the helpers. All
   /// answers within one batch come from the same model; when `model_out`
   /// is non-null it receives exactly that model, so a caller that must
   /// post-process answers (e.g. resolve vertex ids to names for the wire)
@@ -128,14 +128,16 @@ class Engine {
       const std::vector<QueryRequest>& requests,
       std::shared_ptr<const Model>* model_out = nullptr);
 
-  /// Answers one query on the calling thread (no pool round trip).
+  /// Answers one query on the calling thread.
   /// `model_out` has QueryBatch semantics: the model that answered.
   StatusOr<QueryResponse> Query(
       const QueryRequest& request,
       std::shared_ptr<const Model>* model_out = nullptr);
 
-  /// Workers in the (owned or shared) query pool.
-  size_t num_threads() const { return pool_->num_threads(); }
+  /// Threads that answer one batch, the caller included.
+  size_t num_threads() const {
+    return pool_ == nullptr ? 1 : pool_->num_threads() + 1;
+  }
   /// Snapshot of the result-cache counters, summed across shards.
   /// Thread-safe.
   CacheStats cache_stats() const;
@@ -197,13 +199,8 @@ class Engine {
   /// immutable after construction, so indexing it is lock-free.
   std::vector<std::unique_ptr<CacheShard>> shards_;
 
-  /// Owned pool when options.pool was null. MUST be declared after the
-  /// cache state: ~ThreadPool drains in-flight chunks, which still call
-  /// Process() against the members above, so the pool has to die (and
-  /// join) first.
-  std::unique_ptr<ThreadPool> owned_pool_;
-  /// Points at owned_pool_ or the caller's shared pool.
-  ThreadPool* pool_ = nullptr;
+  /// The helpers that join a batch's caller; null at one thread.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 /// What ReloadEngineFromFile did, for logging and counters.

@@ -47,23 +47,6 @@ std::vector<BatchCompletion> Reactor::WaitIdleAndCollect() {
   return leftovers;
 }
 
-void Reactor::PushHandoff(Socket socket) {
-  {
-    MutexLock lock(inbox_mutex);
-    inbox.push_back(std::move(socket));
-  }
-  inbox_nonempty.store(true, std::memory_order_release);
-  loop.Wakeup();
-}
-
-std::vector<Socket> Reactor::TakeHandoffs() {
-  if (!inbox_nonempty.exchange(false, std::memory_order_acq_rel)) return {};
-  std::vector<Socket> adopted;
-  MutexLock lock(inbox_mutex);
-  adopted.swap(inbox);
-  return adopted;
-}
-
 size_t Reactor::outstanding() const {
   MutexLock lock(completion_mutex);
   return outstanding_batches;

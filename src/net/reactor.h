@@ -1,7 +1,6 @@
 #ifndef HYPERMINE_NET_REACTOR_H_
 #define HYPERMINE_NET_REACTOR_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -94,16 +93,13 @@ struct ReactorStats {
 /// that thread owns. net::Server runs `num_reactors` of these; every
 /// connection lives and dies on exactly one, so the `HM_CAPABILITY
 /// ("reactor")` on EventLoop holds per-loop exactly as it did when there
-/// was only one. The members below split four ways:
+/// was only one. The members below split three ways:
 ///
 ///  - loop-guarded state (conns, drain bookkeeping): reactor thread only,
 ///    or Stop() after the join — same ownership story as before, now per
 ///    reactor;
 ///  - the completion queue + outstanding count: the rendezvous between
 ///    pool workers finishing batches and this reactor applying them;
-///  - the handoff inbox: in kHandoff accept mode, reactor 0 accepts and
-///    pushes sockets here round-robin; the owner adopts them on its next
-///    wakeup. Unused in kReusePort mode (the kernel does the spreading);
 ///  - pointers to this reactor's labelled series in the server's registry,
 ///    which keeps the counts themselves.
 ///
@@ -113,10 +109,9 @@ struct ReactorStats {
 struct Reactor {
   size_t index = 0;
   EventLoop loop;
-  /// This reactor's own listener: every reactor has one in kReusePort
-  /// mode; only reactor 0's is valid in kHandoff mode (and with one
-  /// reactor). Invalid listeners never enter the loop; a drain removes
-  /// the listener from the loop and closes it for good.
+  /// This reactor's own listener (one of several SO_REUSEPORT listeners
+  /// on the shared port when there are several reactors). A drain removes
+  /// it from the loop and closes it for good.
   Listener listener;
   std::thread thread;
 
@@ -138,12 +133,6 @@ struct Reactor {
   CondVar outstanding_cv;
   std::vector<BatchCompletion> completions HM_GUARDED_BY(completion_mutex);
   size_t outstanding_batches HM_GUARDED_BY(completion_mutex) = 0;
-
-  // --- handoff inbox (kHandoff mode only) ---
-  Mutex inbox_mutex;
-  std::vector<Socket> inbox HM_GUARDED_BY(inbox_mutex);
-  /// Lets the owner skip the inbox lock on the (common) empty case.
-  std::atomic<bool> inbox_nonempty{false};
 
   // --- this reactor's labelled series in the server's registry ---
   // Set once by the Server constructor, before the thread starts. The
@@ -170,10 +159,6 @@ struct Reactor {
   /// that piled up after the loop exited. Stop()-only: the reactor thread
   /// must already be joined.
   std::vector<BatchCompletion> WaitIdleAndCollect();
-
-  /// Hands an accepted socket to this reactor and wakes its loop.
-  void PushHandoff(Socket socket);
-  std::vector<Socket> TakeHandoffs();
 
   /// Batches handed to the pool and not yet applied back (any thread).
   size_t outstanding() const;

@@ -118,62 +118,24 @@ StatusOr<std::unique_ptr<Server>> Server::Start(api::Engine* engine,
                   reactor_count, kMaxReactors));
   }
 
-  // Listener plan. One reactor: the classic single listener. Multiple
-  // reactors: one SO_REUSEPORT listener per reactor (the kernel spreads
-  // accepts), unless handoff was requested or any sharing bind fails —
-  // then reactor 0 owns the only listener and hands sockets off.
-  bool handoff = reactor_count > 1 &&
-                 options.accept_mode == ServerOptions::AcceptMode::kHandoff;
-  std::vector<Listener> listeners;
-  if (reactor_count == 1 || handoff) {
-    HM_ASSIGN_OR_RETURN(Listener listener, Listener::Bind(options.port));
-    HM_RETURN_IF_ERROR(listener.SetNonBlocking(true));
-    listeners.push_back(std::move(listener));
-  } else {
-    StatusOr<Listener> first =
-        Listener::Bind(options.port, /*backlog=*/128, /*reuse_port=*/true);
-    if (!first.ok()) {
-      HM_LOG_WARNING << "SO_REUSEPORT bind failed ("
-                     << first.status().ToString()
-                     << "); falling back to reactor-0 accept + handoff";
-      handoff = true;
-      HM_ASSIGN_OR_RETURN(Listener listener, Listener::Bind(options.port));
-      HM_RETURN_IF_ERROR(listener.SetNonBlocking(true));
-      listeners.push_back(std::move(listener));
-    } else {
-      // The first bind resolved the port (options.port may be 0); the
-      // other reactors share it.
-      const uint16_t shared_port = first->port();
-      HM_RETURN_IF_ERROR(first->SetNonBlocking(true));
-      listeners.push_back(std::move(*first));
-      for (size_t i = 1; i < reactor_count; ++i) {
-        StatusOr<Listener> next = Listener::Bind(
-            shared_port, /*backlog=*/128, /*reuse_port=*/true);
-        if (!next.ok()) {
-          HM_LOG_WARNING << "SO_REUSEPORT sharing bind failed ("
-                         << next.status().ToString()
-                         << "); falling back to reactor-0 accept + handoff";
-          handoff = true;
-          listeners.resize(1);  // reactor 0 keeps the resolved port
-          break;
-        }
-        HM_RETURN_IF_ERROR(next->SetNonBlocking(true));
-        listeners.push_back(std::move(*next));
-      }
-    }
-  }
-
+  // One listener per reactor. Several reactors bind SO_REUSEPORT
+  // listeners on one port and the kernel spreads accepts across them; the
+  // first bind resolves the port (options.port may be 0) and the others
+  // share it. One reactor binds a plain listener.
+  const bool reuse_port = reactor_count > 1;
+  uint16_t port = options.port;
   std::vector<std::unique_ptr<Reactor>> reactors;
   reactors.reserve(reactor_count);
   for (size_t i = 0; i < reactor_count; ++i) {
     HM_ASSIGN_OR_RETURN(EventLoop loop, EventLoop::Create());
     auto reactor = std::make_unique<Reactor>(i, std::move(loop));
-    if (i < listeners.size()) {
-      reactor->listener = std::move(listeners[i]);
-      HM_RETURN_IF_ERROR(reactor->loop.Add(reactor->listener.fd(),
-                                           kListenerTag, /*read=*/true,
-                                           /*write=*/false));
-    }
+    HM_ASSIGN_OR_RETURN(reactor->listener,
+                        Listener::Bind(port, /*backlog=*/128, reuse_port));
+    port = reactor->listener.port();
+    HM_RETURN_IF_ERROR(reactor->listener.SetNonBlocking(true));
+    HM_RETURN_IF_ERROR(reactor->loop.Add(reactor->listener.fd(),
+                                         kListenerTag, /*read=*/true,
+                                         /*write=*/false));
     // Each reactor reaps and stall-checks its own connections.
     if (options.idle_timeout_ms > 0) {
       reactor->loop.AddTimer(kReapTimerTag,
@@ -199,7 +161,7 @@ StatusOr<std::unique_ptr<Server>> Server::Start(api::Engine* engine,
   }
   // Not make_unique: the constructor is private.
   std::unique_ptr<Server> server(
-      new Server(engine, options, handoff, std::move(reactors),
+      new Server(engine, options, std::move(reactors),
                  std::move(admin_listener)));
   for (auto& reactor : server->reactors_) {
     reactor->thread = std::thread(
@@ -208,25 +170,18 @@ StatusOr<std::unique_ptr<Server>> Server::Start(api::Engine* engine,
   return server;
 }
 
-Server::Server(api::Engine* engine, ServerOptions options, bool handoff_mode,
+Server::Server(api::Engine* engine, ServerOptions options,
                std::vector<std::unique_ptr<Reactor>> reactors,
                Listener admin_listener)
     : engine_(engine),
       options_(options),
-      handoff_mode_(handoff_mode),
       reactors_(std::move(reactors)),
-      admin_listener_(std::move(admin_listener)) {
+      admin_listener_(std::move(admin_listener)),
+      pool_(std::make_unique<ThreadPool>(
+          options_.num_threads != 0
+              ? options_.num_threads
+              : std::max<size_t>(4, ThreadPool::HardwareThreads()))) {
   port_ = reactors_[0]->listener.port();
-  if (options_.pool != nullptr) {
-    pool_ = options_.pool;
-  } else {
-    const size_t requested =
-        options_.num_threads != 0
-            ? options_.num_threads
-            : std::max<size_t>(4, ThreadPool::HardwareThreads());
-    owned_pool_ = std::make_unique<ThreadPool>(requested);
-    pool_ = owned_pool_.get();
-  }
 
   if (options_.registry != nullptr) {
     registry_ = options_.registry;
@@ -503,7 +458,6 @@ void Server::ReactorLoop(Reactor* r) {
       break;
     }
     if (stopping_.load()) break;
-    AdoptHandoffs(*r);
     DrainCompletions(*r);
     if (draining_.load() && !r->drain_applied) ApplyDrain(*r);
     for (const EventLoop::Event& event : events) {
@@ -584,9 +538,9 @@ void Server::AcceptPending(Reactor& r, bool admin) {
       continue;
     }
     if (!admin) {
-      // Reserve a slot under the GLOBAL cap before any handoff, so
-      // max_connections holds across reactors; every later failure path
-      // (and CloseConn) releases the reservation.
+      // Reserve a slot under the GLOBAL cap, so max_connections holds
+      // across reactors; every later failure path (and CloseConn)
+      // releases the reservation.
       const size_t open = open_query_conns_.fetch_add(1) + 1;
       if (open > options_.max_connections) {
         open_query_conns_.fetch_sub(1);
@@ -594,15 +548,6 @@ void Server::AcceptPending(Reactor& r, bool admin) {
                     << options_.max_connections << ") reached";
         c_rejected_->Increment();
         continue;
-      }
-      if (handoff_mode_ && reactors_.size() > 1) {
-        const size_t target = next_handoff_.fetch_add(
-                                  1, std::memory_order_relaxed) %
-                              reactors_.size();
-        if (target != r.index) {
-          reactors_[target]->PushHandoff(std::move(*accepted));
-          continue;
-        }
       }
     }
     RegisterAccepted(r, std::move(*accepted), admin);
@@ -648,13 +593,6 @@ void Server::RegisterAccepted(Reactor& r, Socket socket, bool admin) {
   HM_LOG_INFO << (admin ? "admin" : "query") << " connection #" << conn->id
               << " accepted on reactor " << r.index << " ("
               << r.conns.size() << " open here)";
-}
-
-void Server::AdoptHandoffs(Reactor& r) {
-  if (!handoff_mode_) return;
-  for (Socket& socket : r.TakeHandoffs()) {
-    RegisterAccepted(r, std::move(socket), /*admin=*/false);
-  }
 }
 
 void Server::HandleConnEvent(Reactor& r, const EventLoop::Event& event) {

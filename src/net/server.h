@@ -31,15 +31,9 @@ struct ServerOptions {
   /// Reactor threads, one EventLoop each; every connection is pinned to
   /// one reactor for its whole life. 1 (the default) reproduces the
   /// single-reactor server exactly; 0 means one per hardware thread.
+  /// Several reactors each bind their own SO_REUSEPORT listener on the
+  /// shared port, and the kernel spreads accepts across them.
   size_t num_reactors = 1;
-  /// How connections reach reactors when num_reactors > 1 (ignored for
-  /// one reactor). kReusePort gives every reactor its own SO_REUSEPORT
-  /// listener and lets the kernel spread accepts; when a sharing bind
-  /// fails, the server falls back to kHandoff. kHandoff accepts
-  /// everything on reactor 0 and hands sockets off round-robin — the
-  /// deterministic mode tests use to assert distribution.
-  enum class AcceptMode { kReusePort, kHandoff };
-  AcceptMode accept_mode = AcceptMode::kReusePort;
   /// Concurrent connections; further accepts are closed immediately.
   /// Independent of any pool size: connections are multiplexed on the
   /// reactor threads, so an idle connection costs a descriptor and a
@@ -85,16 +79,9 @@ struct ServerOptions {
   /// the other 0-able knobs here (the kernel socket buffer still
   /// pushes back on the wire, but the server-side queue can grow).
   size_t write_high_water = 1u << 20;
-  /// Worker pool for engine batch execution (the ONLY thing workers do —
-  /// connections themselves live on their reactor). MUST NOT be the pool
-  /// the engine runs QueryBatch chunks on: batch tasks block inside
-  /// QueryBatch, and if they occupy every thread of the engine's pool
-  /// the chunk tasks can never run (deadlock). Leave null (the default)
-  /// to let the server own a private pool of `num_threads` workers. A
-  /// shared pool may be ANY size — unlike the old thread-per-connection
-  /// server, max_connections no longer implies a per-connection worker.
-  ThreadPool* pool = nullptr;
-  /// Owned-pool size when `pool` is null; 0 = max(4, hardware threads).
+  /// Workers in the server's batch pool, which runs engine batches and
+  /// nothing else (connections live on their reactor, so the pool may be
+  /// any size whatever max_connections is); 0 = max(4, hardware threads).
   size_t num_threads = 0;
   /// Admin HTTP plane (GET /metrics, /healthz, /statusz — contract in
   /// docs/observability.md) on a SECOND loopback port, always multiplexed
@@ -103,10 +90,10 @@ struct ServerOptions {
   /// Server::admin_port()).
   int admin_port = -1;
   /// Registry the server keeps every count in (and /metrics renders).
-  /// Null (the default) = a registry the server owns, as a null `pool`
-  /// is for the pool. An injected registry must outlive the server and
-  /// belong to it alone: stats() reads the counters back, so a second
-  /// server on the same registry would add its traffic to this one's.
+  /// Null (the default) = a registry the server owns. An injected
+  /// registry must outlive the server and belong to it alone: stats()
+  /// reads the counters back, so a second server on the same registry
+  /// would add its traffic to this one's.
   metrics::Registry* registry = nullptr;
 };
 
@@ -161,11 +148,9 @@ struct ServerStats {
 ///
 /// Reactors: each accepted connection is pinned to one reactor for its
 /// whole life (net/reactor.h), so per-connection state needs no locks and
-/// the EventLoop's "reactor" capability holds per loop. With SO_REUSEPORT
-/// (the default for num_reactors > 1) every reactor runs its own
-/// listener on the shared port and the kernel spreads accepts; where
-/// sharing is unavailable the server falls back to accepting on reactor 0
-/// and handing sockets off round-robin through per-reactor inboxes.
+/// the EventLoop's "reactor" capability holds per loop. With more than one
+/// reactor, every reactor runs its own SO_REUSEPORT listener on the shared
+/// port and the kernel spreads accepts.
 ///
 /// Within a reactor, nonblocking reads feed each connection's
 /// net::Connection state machine (read buffer → frame decode); complete
@@ -197,8 +182,10 @@ struct ServerStats {
 class Server {
  public:
   /// Binds, spawns the reactors, and returns a running server. The
-  /// engine pointer is borrowed. kIoError when the port cannot be bound;
-  /// kInvalidArgument for out-of-range options.
+  /// engine pointer is borrowed. A failed bind of any listener returns its
+  /// status (kIoError; kUnimplemented where several reactors need
+  /// SO_REUSEPORT and the OS lacks it); kInvalidArgument for out-of-range
+  /// options.
   static StatusOr<std::unique_ptr<Server>> Start(api::Engine* engine,
                                                  ServerOptions options);
 
@@ -242,7 +229,7 @@ class Server {
   ServerStats stats() const;
 
  private:
-  Server(api::Engine* engine, ServerOptions options, bool handoff_mode,
+  Server(api::Engine* engine, ServerOptions options,
          std::vector<std::unique_ptr<Reactor>> reactors,
          Listener admin_listener);
 
@@ -259,8 +246,6 @@ class Server {
   /// at accept time; failure paths here release it.
   void RegisterAccepted(Reactor& r, Socket socket, bool admin)
       HM_REQUIRES(r.loop);
-  /// Adopts sockets handed off by reactor 0 (kHandoff mode).
-  void AdoptHandoffs(Reactor& r) HM_REQUIRES(r.loop);
   void HandleConnEvent(Reactor& r, const EventLoop::Event& event)
       HM_REQUIRES(r.loop);
   void ReadFromConn(Reactor& r, ReactorConn* conn) HM_REQUIRES(r.loop);
@@ -305,9 +290,6 @@ class Server {
   const ServerOptions options_;
   /// Resolved listener port (all reuse-port listeners share it).
   uint16_t port_ = 0;
-  /// True when accepts happen only on reactor 0 and sockets are handed
-  /// off (requested, or the reuse-port binds fell back).
-  const bool handoff_mode_;
   std::vector<std::unique_ptr<Reactor>> reactors_;
   /// Invalid (port() == 0) when the admin plane is disabled. Registered
   /// in reactor 0's loop.
@@ -354,19 +336,16 @@ class Server {
   /// touched by collectors (serialized by the registry).
   metrics::Gauge* model_info_gauge_ = nullptr;
 
-  /// Owned batch-execution pool when options.pool was null.
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;
+  /// Runs engine batches (ServerOptions::num_threads workers).
+  std::unique_ptr<ThreadPool> pool_;
 
   std::atomic<bool> stopping_{false};
   /// Set by Drain() (any thread); each reactor applies it once.
   std::atomic<bool> draining_{false};
   /// Open query-plane connections across all reactors, reserved at
-  /// accept time (before any handoff) so max_connections is enforced
-  /// globally, not per reactor.
+  /// accept time so max_connections is enforced globally, not per
+  /// reactor.
   std::atomic<size_t> open_query_conns_{0};
-  /// Round-robin cursor for kHandoff socket distribution.
-  std::atomic<size_t> next_handoff_{0};
 
   Mutex stop_mutex_;  // serializes concurrent Stop calls
 };

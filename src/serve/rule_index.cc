@@ -162,7 +162,10 @@ std::vector<core::VertexId> RuleIndex::Reachable(
   for (core::VertexId v : seeds) {
     if (v < num_vertices_) reach(v);
   }
-  for (size_t i = 0; i < closure.size(); ++i) {
+  // Once every vertex is in, nothing can grow the closure: stop there
+  // rather than read the rest of the fired groups.
+  for (size_t i = 0; i < closure.size() && closure.size() < num_vertices_;
+       ++i) {
     for (uint32_t group : tail_groups_[closure[i]]) {
       if (--missing[group] != 0) continue;
       // Whole tail reached: its rules fire best ACV first, down to
@@ -171,6 +174,7 @@ std::vector<core::VertexId> RuleIndex::Reachable(
         if (entry.acv < min_acv) break;
         reach(entry.head);
       }
+      if (closure.size() == num_vertices_) break;
     }
   }
   std::sort(closure.begin(), closure.end());

@@ -54,7 +54,8 @@ class RuleIndex {
   /// notions on directed hypergraphs (Allamigeon, arXiv:1112.1444).
   /// Costs one byte of scratch per tail set and per vertex: a tail set's
   /// consequents are read once its last tail vertex is reached, best ACV
-  /// first, stopping at the first below min_acv.
+  /// first, stopping at the first below min_acv. The walk ends as soon as
+  /// the closure holds every vertex.
   std::vector<core::VertexId> Reachable(std::span<const core::VertexId> seeds,
                                         double min_acv) const;
 

@@ -52,17 +52,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_.NotifyOne();
 }
 
-void ThreadPool::SubmitAll(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  {
-    MutexLock lock(mutex_);
-    for (std::function<void()>& task : tasks) {
-      pending_.push_back(std::move(task));
-    }
-  }
-  cv_.NotifyAll();
-}
-
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
   if (n == 0) return;
@@ -100,12 +89,14 @@ void ThreadPool::ParallelFor(size_t n,
     }
   };
 
-  std::vector<std::function<void()>> helpers;
-  helpers.reserve(std::min(workers_.size(), n - 1));
-  for (size_t c = 0; c < std::min(workers_.size(), n - 1); ++c) {
-    helpers.emplace_back([state, drain] { drain(state); });
+  // One lock/notify round enqueues every helper.
+  {
+    MutexLock lock(mutex_);
+    for (size_t c = 0; c < std::min(workers_.size(), n - 1); ++c) {
+      pending_.emplace_back([state, drain] { drain(state); });
+    }
   }
-  SubmitAll(std::move(helpers));
+  cv_.NotifyAll();
   drain(state);
 
   MutexLock lock(state->mutex);

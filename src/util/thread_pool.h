@@ -10,11 +10,12 @@
 
 namespace hypermine {
 
-/// Fixed-size worker pool shared by the serving engine (api::Engine) and
-/// the hypergraph builder (core::BuildAssociationHypergraph). Tasks are
-/// plain closures; Submit never blocks. Tasks still queued at destruction
-/// time are drained, not dropped — a queued batch chunk always runs, which
-/// is what Engine's blocking QueryBatch semantics require.
+/// Fixed-size worker pool: the server's batch workers, the helpers of a
+/// multi-threaded api::Engine and of core::BuildAssociationHypergraph, and
+/// hypermine_serve's reload thread each run on one. Tasks are plain
+/// closures; Submit never blocks. Tasks still queued at destruction time
+/// are drained, not dropped: a `!reload` queued behind a running one still
+/// runs, against the engine it captured, before the pool is gone.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers; 0 = HardwareThreads().
@@ -29,16 +30,14 @@ class ThreadPool {
   /// Enqueues one task.
   void Submit(std::function<void()> task);
 
-  /// Enqueues a batch of tasks with one lock/notify round.
-  void SubmitAll(std::vector<std::function<void()>> tasks);
-
   /// Runs body(0) .. body(n - 1), distributing indices over the workers via
   /// an atomic cursor; the calling thread participates, so a ParallelFor on
-  /// a pool of w workers uses up to w + 1 threads. Blocks until every index
-  /// has completed. Which thread runs which index is nondeterministic —
-  /// callers needing deterministic output must make body(i) depend only
-  /// on i (the hypergraph builder's per-head-block buffers do exactly
-  /// this, then merge serially).
+  /// a pool of w workers uses up to w + 1 threads, and a call whose helpers
+  /// are all still queued finishes on the caller alone (nested calls cannot
+  /// deadlock). Blocks until every index has completed. Which thread runs
+  /// which index is nondeterministic — callers needing deterministic output
+  /// must make body(i) depend only on i (the hypergraph builder's
+  /// per-head-block buffers do exactly this, then merge serially).
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   /// std::thread::hardware_concurrency with a floor of 1.

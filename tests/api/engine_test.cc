@@ -2,15 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <memory>
+#include <system_error>
 #include <thread>
 #include <vector>
 
 #include "api/model.h"
 #include "serve/testutil.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace hypermine::api {
 namespace {
@@ -37,8 +39,8 @@ TEST(ApiEngineTest, BatchMatchesDirectIndexLookups) {
   const std::vector<QueryRequest> requests = serve::RandomServeQueries(
       200, 40, 99, /*k=*/5, /*reach_every=*/7, /*reach_min_acv=*/0.5);
 
-  // Four callers submit the same batch at once; batches interleave on the
-  // engine's pool and every answer must still match the index.
+  // Four callers submit the same batch at once; their batches share the
+  // engine's helpers and every answer must still match the index.
   std::vector<std::vector<StatusOr<QueryResponse>>> per_caller(4);
   std::vector<std::thread> callers;
   for (auto& responses : per_caller) {
@@ -216,25 +218,59 @@ TEST(ApiEngineTest, SwapInvalidatesCacheCoherently) {
   EXPECT_EQ(repeat->model_version, b->version());
 }
 
-TEST(ApiEngineTest, SharedExternalPool) {
-  ThreadPool pool(2);
-  EngineOptions options;
-  options.pool = &pool;
-  std::shared_ptr<const Model> model = RandomModel(30, 120, 11);
-  Engine engine(model, options);
-  EXPECT_EQ(engine.num_threads(), 2u);
+/// Threads in this process, read from /proc/self/task once two reads a
+/// millisecond apart agree (a joined thread can linger there a moment);
+/// 0 when the directory cannot be read.
+size_t ProcessThreads() {
+  auto count = []() -> size_t {
+    std::error_code error;
+    std::filesystem::directory_iterator it("/proc/self/task", error);
+    size_t n = 0;
+    for (; !error && it != std::filesystem::directory_iterator();
+         it.increment(error)) {
+      ++n;
+    }
+    return error ? 0 : n;
+  };
+  size_t last = count();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const size_t now = count();
+    if (now == last) break;
+    last = now;
+  }
+  return last;
+}
 
+TEST(ApiEngineTest, EngineStartsOnlyItsHelpers) {
+  // The caller answers its own batch, so N threads take N - 1 helpers,
+  // and a one-thread engine (hypermine_serve's default) starts none.
+  if (ProcessThreads() == 0) {
+    GTEST_SKIP() << "/proc/self/task cannot be read";
+  }
+  std::shared_ptr<const Model> model = RandomModel(30, 120, 11);
   std::vector<QueryRequest> requests;
   for (core::VertexId v = 0; v < 30; ++v) {
     requests.push_back(TopKRequest({v}, 4));
   }
-  std::vector<StatusOr<QueryResponse>> responses =
-      engine.QueryBatch(requests);
-  ASSERT_EQ(responses.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_TRUE(responses[i].ok());
-    EXPECT_EQ(responses[i]->ranked,
-              model->index().TopKWithin(requests[i].items, 4));
+  for (size_t threads : {size_t{1}, size_t{3}}) {
+    EngineOptions options;
+    options.num_threads = threads;
+    const size_t before = ProcessThreads();
+    Engine engine(model, options);
+    EXPECT_EQ(ProcessThreads(), before + threads - 1)
+        << "num_threads = " << threads;
+    EXPECT_EQ(engine.num_threads(), threads);
+
+    std::vector<StatusOr<QueryResponse>> responses =
+        engine.QueryBatch(requests);
+    ASSERT_EQ(responses.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_TRUE(responses[i].ok());
+      EXPECT_EQ(responses[i]->ranked,
+                model->index().TopKWithin(requests[i].items, 4))
+          << "num_threads = " << threads << ", query " << i;
+    }
   }
 }
 

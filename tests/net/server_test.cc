@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -192,15 +193,14 @@ TEST(ServerTest, EncodeFailureMidBatchDoesNotPoisonTheConnection) {
   EXPECT_EQ(after->code, StatusCode::kOk);
 }
 
-TEST(ServerTest, ManyConnectionsOnATinySharedPool) {
-  // The event loop decouples connection count from pool size: a shared
-  // pool of 2 workers must serve far more than 2 live connections (the
-  // old thread-per-connection server rejected exactly this at Start).
+TEST(ServerTest, ManyConnectionsOnATinyPool) {
+  // The event loop decouples connection count from pool size: a pool of
+  // 2 workers must serve far more than 2 live connections (the old
+  // thread-per-connection server rejected exactly this at Start).
   api::Engine engine(NamedModel());
-  ThreadPool tiny(2);
   ServerOptions options;
   options.port = 0;
-  options.pool = &tiny;
+  options.num_threads = 2;
   options.max_connections = 64;
   auto server = Server::Start(&engine, options);
   ASSERT_TRUE(server.ok()) << server.status();
@@ -830,35 +830,50 @@ TEST(ServerMultiReactorTest, WireAnswersAreByteIdenticalAcrossReactorCounts) {
   }
 }
 
-TEST(ServerMultiReactorTest, HandoffSpreadsConnectionsRoundRobin) {
-  // kHandoff is the deterministic accept mode: reactor 0 accepts and
-  // deals sockets round-robin, so 8 connections over 4 reactors land
-  // exactly 2 per reactor — asserted through the new per-reactor stats.
-  api::Engine engine(NamedModel());
-  ServerOptions options;
-  options.num_reactors = 4;
-  options.accept_mode = ServerOptions::AcceptMode::kHandoff;
-  auto server = StartOrDie(&engine, options);
-
-  constexpr size_t kConns = 8;
+/// One connection on every reactor, element i owned by reactor i. The
+/// kernel places connections by hash, so this connects one at a time,
+/// reads each connection's owner from the per-reactor accept counts, and
+/// closes the extras that land on a reactor already holding one; it
+/// returns once the server has closed them too.
+std::vector<Client> OneConnectionPerReactor(const Server& server) {
+  const size_t reactors = server.num_reactors();
+  std::vector<std::optional<Client>> owned(reactors);
+  size_t placed = 0;
+  for (int attempt = 0; placed < reactors; ++attempt) {
+    HM_CHECK_LT(attempt, 256);  // the kernel skipped a reactor throughout
+    const ServerStats before = server.stats();
+    Client client = ConnectOrDie(server.port());
+    ServerStats after = server.stats();
+    for (int i = 0; i < 1000 && after.connections_accepted ==
+                                    before.connections_accepted;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      after = server.stats();
+    }
+    HM_CHECK_EQ(after.connections_accepted, before.connections_accepted + 1);
+    size_t owner = 0;
+    while (after.per_reactor[owner].connections_accepted ==
+           before.per_reactor[owner].connections_accepted) {
+      ++owner;
+    }
+    if (!owned[owner].has_value()) {
+      owned[owner].emplace(std::move(client));
+      ++placed;
+    }  // else the extra closes as `client` dies
+  }
+  for (int i = 0; i < 1000; ++i) {
+    size_t open = 0;
+    for (const ReactorStats& rs : server.stats().per_reactor) {
+      open += rs.open_connections;
+    }
+    if (open == reactors) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
   std::vector<Client> clients;
-  for (size_t i = 0; i < kConns; ++i) {
-    clients.push_back(ConnectOrDie(server->port()));
-    // Query through each connection so "accepted" means "registered on
-    // its owner", not merely queued in a handoff inbox.
-    auto response = clients.back().Query(Named({"A"}));
-    ASSERT_TRUE(response.ok()) << response.status();
-    EXPECT_EQ(response->code, StatusCode::kOk);
+  for (std::optional<Client>& client : owned) {
+    clients.push_back(std::move(*client));
   }
-
-  ServerStats stats = server->stats();
-  EXPECT_EQ(stats.connections_accepted, kConns);
-  ASSERT_EQ(stats.per_reactor.size(), 4u);
-  for (const ReactorStats& rs : stats.per_reactor) {
-    EXPECT_EQ(rs.connections_accepted, kConns / 4)
-        << "reactor " << rs.index << " got an uneven share";
-    EXPECT_EQ(rs.open_connections, kConns / 4);
-  }
+  return clients;
 }
 
 TEST(ServerMultiReactorTest, ReusePortSpreadsConnectionsAcrossReactors) {
@@ -868,7 +883,7 @@ TEST(ServerMultiReactorTest, ReusePortSpreadsConnectionsAcrossReactors) {
   // must own connections) rather than exact shares.
   api::Engine engine(NamedModel());
   ServerOptions options;
-  options.num_reactors = 4;  // default accept_mode: kReusePort
+  options.num_reactors = 4;
   options.max_connections = 64;
   auto server = StartOrDie(&engine, options);
 
@@ -896,12 +911,11 @@ TEST(ServerMultiReactorTest, ReusePortSpreadsConnectionsAcrossReactors) {
 }
 
 TEST(ServerMultiReactorTest, MaxConnectionsIsAGlobalCapAcrossReactors) {
-  // The cap is reserved at accept time, before any handoff, so N
+  // The cap is reserved at accept time in one process-wide count, so N
   // reactors cannot jointly over-admit.
   api::Engine engine(NamedModel());
   ServerOptions options;
   options.num_reactors = 2;
-  options.accept_mode = ServerOptions::AcceptMode::kHandoff;
   options.max_connections = 3;
   auto server = StartOrDie(&engine, options);
 
@@ -944,22 +958,15 @@ TEST(ServerMultiReactorTest, StopJoinsAllReactorsWithZeroDroppedBatches) {
   api::Engine engine(NamedModel());
   ServerOptions options;
   options.num_reactors = 2;
-  options.accept_mode = ServerOptions::AcceptMode::kHandoff;
   auto server = StartOrDie(&engine, options);
 
-  // Two connections: round-robin places one on each reactor.
+  // One connection on each reactor, each sending one query.
+  std::vector<Client> clients = OneConnectionPerReactor(*server);
   std::vector<std::thread> senders;
-  for (int i = 0; i < 2; ++i) {
-    senders.emplace_back([&server] {
-      auto socket = Socket::Connect("127.0.0.1", server->port(), 2000);
-      ASSERT_TRUE(socket.ok());
-      std::string frame;
-      ASSERT_TRUE(EncodeQueryFrame(7, Named({"A"}), &frame).ok());
-      ASSERT_TRUE(socket->WriteAll(frame.data(), frame.size()).ok());
-      // Hold the socket open until the server finishes or closes it.
-      FrameHeader header;
-      std::string body;
-      (void)ReadFrame(&*socket, &header, &body);
+  for (Client& client : clients) {
+    senders.emplace_back([&client] {
+      // Blocks until the server answers or closes the connection.
+      (void)client.Query(Named({"A"}));
     });
   }
   // Let both queries reach their (stalled) engine batches, then stop.
@@ -999,12 +1006,12 @@ TEST(ServerMultiReactorTest, DrainClosesQuietConnectionsOnEveryReactor) {
   api::Engine engine(NamedModel());
   ServerOptions options;
   options.num_reactors = 2;
-  options.accept_mode = ServerOptions::AcceptMode::kHandoff;
   auto server = StartOrDie(&engine, options);
 
-  // One served-and-quiet connection per reactor (round-robin placement).
-  Client first = ConnectOrDie(server->port());
-  Client second = ConnectOrDie(server->port());
+  // One served-and-quiet connection per reactor.
+  std::vector<Client> clients = OneConnectionPerReactor(*server);
+  Client& first = clients[0];
+  Client& second = clients[1];
   ASSERT_TRUE(first.Query(Named({"A"})).ok());
   ASSERT_TRUE(second.Query(Named({"A"})).ok());
   {

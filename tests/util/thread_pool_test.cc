@@ -27,22 +27,6 @@ TEST(ThreadPoolTest, SubmitRunsTask) {
   EXPECT_EQ(promise.get_future().get(), 42);
 }
 
-TEST(ThreadPoolTest, SubmitAllRunsEveryTask) {
-  ThreadPool pool(3);
-  constexpr size_t kTasks = 64;
-  std::atomic<size_t> ran{0};
-  std::promise<void> all_done;
-  std::vector<std::function<void()>> tasks;
-  for (size_t i = 0; i < kTasks; ++i) {
-    tasks.emplace_back([&ran, &all_done] {
-      if (ran.fetch_add(1) + 1 == kTasks) all_done.set_value();
-    });
-  }
-  pool.SubmitAll(std::move(tasks));
-  all_done.get_future().wait();
-  EXPECT_EQ(ran.load(), kTasks);
-}
-
 TEST(ThreadPoolTest, PendingTasksDrainOnDestruction) {
   std::atomic<size_t> ran{0};
   {

@@ -557,7 +557,10 @@ int Main(int argc, char** argv) {
                "    --admin-port adds GET /metrics, /healthz, /statusz "
                "(docs/observability.md) on a second port;\n"
                "    --reactors=N shards the serving path over N event-"
-               "loop threads (0 = one per hardware thread)\n"
+               "loop threads (0 = one per hardware thread);\n"
+               "    --threads=N answers each query batch on N threads, the "
+               "server worker holding it included\n"
+               "      (default 1: the engine starts no thread of its own)\n"
                "  hypermine_serve --make-demo --out=a.snap "
                "[--variant-out=b.snap]\n"
                "  hypermine_serve --selftest [--threads=N]\n");
