@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <optional>
 #include <utility>
 
@@ -15,40 +14,11 @@ namespace hypermine::api {
 Engine::Engine(std::shared_ptr<const Model> model, EngineOptions options)
     : model_(std::move(model)), cache_capacity_(options.cache_capacity) {
   HM_CHECK(model_ != nullptr);
-  if (cache_capacity_ > 0) {
-    // Resolve the shard count. Auto shards only once every shard can
-    // hold at least 64 entries: per-shard LRU makes the global eviction
-    // order approximate, and the approximation is worst when shards are
-    // tiny — a capacity-2 cache split in two evicts on every collision.
-    // An explicit request is clamped so every shard's capacity slice
-    // holds at least one entry (a zero-capacity shard would evict
-    // everything it admits).
-    size_t shard_count =
-        options.cache_shards == 0
-            ? std::min<size_t>(8, std::max<size_t>(1, cache_capacity_ / 64))
-            : std::min(options.cache_shards, cache_capacity_);
-    if (shard_count == 0) shard_count = 1;
-    // Split the capacity: base entries everywhere, the remainder spread
-    // one each over the first shards, so the slices sum exactly to
-    // cache_capacity_.
-    const size_t base = cache_capacity_ / shard_count;
-    const size_t remainder = cache_capacity_ % shard_count;
-    shards_.reserve(shard_count);
-    for (size_t i = 0; i < shard_count; ++i) {
-      auto shard = std::make_unique<CacheShard>();
-      shard->capacity = base + (i < remainder ? 1 : 0);
-      shards_.push_back(std::move(shard));
-    }
-  }
   // The caller answers too, so N threads need N - 1 helpers.
   const size_t threads = options.num_threads == 0
                              ? ThreadPool::HardwareThreads()
                              : options.num_threads;
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads - 1);
-}
-
-Engine::CacheShard& Engine::ShardFor(const std::string& key) const {
-  return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
 void Engine::Swap(std::shared_ptr<const Model> model) {
@@ -59,20 +29,17 @@ void Engine::Swap(std::shared_ptr<const Model> model) {
     model_.swap(model);
   }
   swap_count_.fetch_add(1, std::memory_order_relaxed);
-  // Eagerly purge entries of other versions, one shard at a time. Keying
-  // alone already makes them unreachable (the key leads with the model
-  // version, so the swap is coherent across every shard the moment the
-  // slot changes); the purge stops a dead model's answers from occupying
-  // capacity until LRU pressure pushes them out.
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (it->model_version != live_version) {
-        shard->map.erase(it->key);
-        it = shard->lru.erase(it);
-      } else {
-        ++it;
-      }
+  // Eagerly purge entries of other versions. Keying alone already makes
+  // them unreachable (the key leads with the model version); the purge
+  // stops a dead model's answers from occupying capacity until LRU
+  // pressure pushes them out.
+  MutexLock lock(cache_mutex_);
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->model_version != live_version) {
+      cache_.erase(it->key);
+      it = lru_.erase(it);
+    } else {
+      ++it;
     }
   }
 }
@@ -136,25 +103,20 @@ StatusOr<QueryResponse> Engine::Process(const Model& model,
     return Status::InvalidArgument("query: min_acv is NaN");
   }
 
-  // Only pay for key canonicalization when a cache exists: the no-cache
-  // configuration is the serving hot path benchmarks measure. With a
-  // cache, the key picks one shard and only that shard's lock is ever
-  // taken — queries landing on different shards proceed in parallel.
+  // Only pay for key canonicalization when a cache exists.
   std::string key;
-  CacheShard* shard = nullptr;
-  if (!shards_.empty()) {
+  if (cache_capacity_ > 0) {
     key = CacheKey(model.version(), request, items);
-    shard = &ShardFor(key);
-    MutexLock lock(shard->mutex);
-    auto it = shard->map.find(key);
-    if (it != shard->map.end()) {
-      shard->lru.splice(shard->lru.begin(), shard->lru, it->second);
-      ++shard->stats.hits;
+    MutexLock lock(cache_mutex_);
+    auto it = cache_.find(key);
+    if (it != cache_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      ++cache_stats_.hits;
       QueryResponse hit = it->second->response;
       hit.from_cache = true;
       return hit;
     }
-    ++shard->stats.misses;
+    ++cache_stats_.misses;
   }
 
   QueryResponse response;
@@ -168,18 +130,18 @@ StatusOr<QueryResponse> Engine::Process(const Model& model,
       break;
   }
 
-  if (shard != nullptr) {
-    MutexLock lock(shard->mutex);
-    // Re-check: a concurrent query for the same key may have inserted
-    // while this one computed.
-    auto it = shard->map.find(key);
-    if (it == shard->map.end()) {
-      shard->lru.push_front(CacheEntry{key, model.version(), response});
-      shard->map.emplace(shard->lru.front().key, shard->lru.begin());
-      if (shard->lru.size() > shard->capacity) {
-        shard->map.erase(shard->lru.back().key);
-        shard->lru.pop_back();
-        ++shard->stats.evictions;
+  if (cache_capacity_ > 0) {
+    MutexLock lock(cache_mutex_);
+    // A concurrent query for the same key may have inserted while this
+    // one computed; its entry stands.
+    auto [it, inserted] = cache_.try_emplace(std::move(key));
+    if (inserted) {
+      lru_.push_front(CacheEntry{it->first, model.version(), response});
+      it->second = lru_.begin();
+      if (lru_.size() > cache_capacity_) {
+        cache_.erase(lru_.back().key);
+        lru_.pop_back();
+        ++cache_stats_.evictions;
       }
     }
   }
@@ -218,33 +180,13 @@ StatusOr<QueryResponse> Engine::Query(
 }
 
 CacheStats Engine::cache_stats() const {
-  CacheStats total;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    total.hits += shard->stats.hits;
-    total.misses += shard->stats.misses;
-    total.evictions += shard->stats.evictions;
-  }
-  return total;
-}
-
-std::vector<CacheStats> Engine::cache_shard_stats() const {
-  std::vector<CacheStats> out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    out.push_back(shard->stats);
-  }
-  return out;
+  MutexLock lock(cache_mutex_);
+  return cache_stats_;
 }
 
 size_t Engine::cache_entries() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    total += shard->lru.size();
-  }
-  return total;
+  MutexLock lock(cache_mutex_);
+  return lru_.size();
 }
 
 namespace {

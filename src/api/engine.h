@@ -60,25 +60,12 @@ struct EngineOptions {
   /// thread and answers every batch on its caller; at N > 1 it owns N - 1
   /// helper threads.
   size_t num_threads = 0;
-  /// LRU result-cache capacity in entries (total across all shards); 0
-  /// disables caching.
+  /// LRU result-cache capacity in entries; 0 disables caching.
   size_t cache_capacity = 4096;
-  /// Independently-locked cache shards; a query locks only the shard its
-  /// key hashes to, so concurrent lookups on different shards never
-  /// contend. 0 = auto: min(8, max(1, cache_capacity / 64)) — small
-  /// caches stay single-shard, because sharding is an eviction-precision
-  /// trade. LRU eviction is per shard (each shard evicts within its own
-  /// capacity slice, so the global eviction order is only approximately
-  /// LRU), and the approximation is worst exactly when shards are tiny;
-  /// auto only shards once every shard holds at least 64 entries. An
-  /// explicit request is honored after clamping to cache_capacity, so
-  /// every shard holds at least one entry.
-  size_t cache_shards = 0;
 };
 
 /// Lifetime counters of the engine's result cache (monotonic; a Swap
-/// purges entries but never resets the counters). cache_stats() sums the
-/// per-shard counters; cache_shard_stats() exposes them individually.
+/// purges entries but never resets the counters).
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -87,9 +74,9 @@ struct CacheStats {
 
 /// The serving half of the API: answers association queries against a hot-
 /// swappable, immutable Model. One Engine owns the helper threads a batch
-/// fans out on (none at num_threads = 1), a sharded LRU result cache
-/// (key-hash picks the shard, each shard has its own lock — no query ever
-/// takes a global cache lock), and a shared_ptr<const Model> slot.
+/// fans out on (none at num_threads = 1), an exact LRU result cache under
+/// one lock (a query holds it for one map lookup and a copy of its
+/// answer), and a shared_ptr<const Model> slot.
 ///
 /// Hot swap: Swap(new_model) atomically replaces the slot. Queries acquire
 /// the model pointer once per batch, so in-flight batches finish against
@@ -138,16 +125,9 @@ class Engine {
   size_t num_threads() const {
     return pool_ == nullptr ? 1 : pool_->num_threads() + 1;
   }
-  /// Snapshot of the result-cache counters, summed across shards.
-  /// Thread-safe.
+  /// Snapshot of the result-cache counters. Thread-safe.
   CacheStats cache_stats() const;
-  /// Per-shard counter snapshots, index = shard. Thread-safe. The shard
-  /// snapshots are taken one lock at a time, so the vector is not a
-  /// single atomic cut — each shard's triple is internally consistent.
-  std::vector<CacheStats> cache_shard_stats() const;
-  /// Cache shards actually in use (0 when caching is disabled).
-  size_t cache_shards() const { return shards_.size(); }
-  /// Entries currently cached, summed across shards. Thread-safe.
+  /// Entries currently cached. Thread-safe.
   size_t cache_entries() const;
   /// Lifetime count of Swap() calls (monotonic, thread-safe) — the
   /// observability layer bridges it into `hypermine_model_swaps_total`.
@@ -161,23 +141,6 @@ class Engine {
     uint64_t model_version = 0;
     QueryResponse response;
   };
-
-  /// One independently-locked slice of the result cache. LRU list front =
-  /// most recent; map points into the list. `capacity` is this shard's
-  /// slice of EngineOptions::cache_capacity (immutable after
-  /// construction).
-  struct CacheShard {
-    mutable Mutex mutex;
-    std::list<CacheEntry> lru HM_GUARDED_BY(mutex);
-    std::unordered_map<std::string, std::list<CacheEntry>::iterator> map
-        HM_GUARDED_BY(mutex);
-    CacheStats stats HM_GUARDED_BY(mutex);
-    size_t capacity = 0;
-  };
-
-  /// The shard `key` hashes to. Never called with an empty shard vector
-  /// (callers gate on cache_capacity_ > 0).
-  CacheShard& ShardFor(const std::string& key) const;
 
   StatusOr<QueryResponse> Process(const Model& model,
                                   const QueryRequest& request);
@@ -194,10 +157,13 @@ class Engine {
   /// Immutable after construction, so the cache-enabled check on the query
   /// hot path needs no lock.
   const size_t cache_capacity_;
-  /// The shards themselves (empty iff cache_capacity_ == 0). unique_ptr
-  /// keeps each shard's Mutex at a stable address; the vector itself is
-  /// immutable after construction, so indexing it is lock-free.
-  std::vector<std::unique_ptr<CacheShard>> shards_;
+  /// The result cache: LRU list (front = most recent), a map from key into
+  /// it, and the counters, all under one lock.
+  mutable Mutex cache_mutex_;
+  std::list<CacheEntry> lru_ HM_GUARDED_BY(cache_mutex_);
+  std::unordered_map<std::string, std::list<CacheEntry>::iterator> cache_
+      HM_GUARDED_BY(cache_mutex_);
+  CacheStats cache_stats_ HM_GUARDED_BY(cache_mutex_);
 
   /// The helpers that join a batch's caller; null at one thread.
   std::unique_ptr<ThreadPool> pool_;

@@ -52,24 +52,10 @@ DirectedHypergraph::EdgeKey DirectedHypergraph::MakeEdgeKey(
   return key;
 }
 
-size_t DirectedHypergraph::HashEdgeKey(const EdgeKey& key) {
-  // splitmix64-style mix of each half, combined with an odd multiplier —
-  // cheap, and spreads the low-entropy packed ids across the whole hash
-  // range, which linear probing needs to keep its runs short.
-  auto mix = [](uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  };
-  return static_cast<size_t>(mix(key.hi) * 0x9ddfea08eb382d69ull +
-                             mix(key.lo));
-}
-
 size_t DirectedHypergraph::FindSlot(const EdgeKey& key) const {
   // The table is at most half full, so every probe ends at an empty slot.
   const size_t mask = slots_.size() - 1;
-  for (size_t i = HashEdgeKey(key) & mask;; i = (i + 1) & mask) {
+  for (size_t i = HashIdKey(key.hi, key.lo) & mask;; i = (i + 1) & mask) {
     const EdgeId id = slots_[i];
     if (id == kEmptySlot) return i;
     const Hyperedge& e = edges_[id];
@@ -84,7 +70,8 @@ void DirectedHypergraph::RehashSlots(size_t capacity) {
   const size_t mask = capacity - 1;
   for (EdgeId id = 0; id < edges_.size(); ++id) {
     const Hyperedge& e = edges_[id];
-    size_t i = HashEdgeKey(MakeEdgeKey(e.tail, e.head)) & mask;
+    const EdgeKey key = MakeEdgeKey(e.tail, e.head);
+    size_t i = HashIdKey(key.hi, key.lo) & mask;
     while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
     slots_[i] = id;
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace hypermine::net {
@@ -107,35 +106,7 @@ bool Connection::wants_read() const {
          (options_.max_pending_frames == 0 ||
           pending_.size() < options_.max_pending_frames) &&
          (options_.write_high_water == 0 ||
-          write_queued_ < options_.write_high_water);
-}
-
-void Connection::QueueWrite(std::string bytes) {
-  AssertOnReactor();
-  if (bytes.empty()) return;
-  write_queued_ += bytes.size();
-  write_queue_.push_back(std::move(bytes));
-}
-
-size_t Connection::write_queued() const { return write_queued_; }
-
-std::string_view Connection::write_head() const {
-  if (write_queue_.empty()) return {};
-  const std::string& head = write_queue_.front();
-  return std::string_view(head.data() + write_offset_,
-                          head.size() - write_offset_);
-}
-
-void Connection::ConsumeWrite(size_t n) {
-  AssertOnReactor();
-  HM_CHECK_LE(n, write_head().size());
-  write_offset_ += n;
-  write_queued_ -= n;
-  if (!write_queue_.empty() &&
-      write_offset_ == write_queue_.front().size()) {
-    write_queue_.pop_front();
-    write_offset_ = 0;
-  }
+          write_queued() < options_.write_high_water);
 }
 
 }  // namespace hypermine::net

@@ -8,8 +8,8 @@
 #include <string_view>
 #include <vector>
 
-#include "net/event_loop.h"
 #include "net/protocol.h"
+#include "net/write_queue.h"
 #include "util/status.h"
 
 namespace hypermine::net {
@@ -30,11 +30,12 @@ struct PendingFrame {
 };
 
 /// The per-socket protocol state machine of the event-loop server: bytes
-/// in, decoded frames and queued response bytes out. It owns NO
-/// descriptor and never blocks — the reactor (or a test) feeds it
-/// whatever the socket produced and drains whatever it wants written, so
-/// every partial-read / short-write / mid-frame-close path is exercisable
-/// entirely in memory (tests/net/connection_test.cc does exactly that).
+/// in, decoded frames out, and response bytes queued on the WriteQueue it
+/// is. It owns NO descriptor and never blocks — the reactor (or a test)
+/// feeds it whatever the socket produced and drains whatever it wants
+/// written, so every partial-read / short-write / mid-frame-close path is
+/// exercisable entirely in memory (tests/net/connection_test.cc does
+/// exactly that).
 ///
 /// Framing behavior matches docs/protocol.md §1: a header announcing a
 /// body above the protocol cap, bad magic, or nonzero reserved bits is
@@ -46,7 +47,7 @@ struct PendingFrame {
 /// Thread-safety: none. One Connection belongs to one reactor thread;
 /// after BindLoop, debug builds verify that claim on every mutating call
 /// (release builds pay nothing).
-class Connection {
+class Connection : public WriteQueue {
  public:
   struct Options {
     /// Per-frame admission cap (the server's max_query_bytes). Bodies
@@ -65,13 +66,6 @@ class Connection {
 
   Connection() : Connection(Options{}) {}
   explicit Connection(Options options);
-
-  /// Ties this connection to its reactor's loop. From then on every
-  /// mutating method asserts (debug builds) that it runs on the loop's
-  /// bound thread; unbound connections (unit tests driving the state
-  /// machine directly) skip the check. `loop` is not owned and must
-  /// outlive the connection.
-  void BindLoop(const EventLoop* loop) { loop_ = loop; }
 
   // --- read side -------------------------------------------------------
 
@@ -117,35 +111,12 @@ class Connection {
   /// says "stop accepting work".
   bool wants_read() const;
 
-  // --- write side ------------------------------------------------------
-
-  /// Appends response bytes to the write queue.
-  void QueueWrite(std::string bytes);
-
-  /// Bytes not yet consumed by the socket.
-  size_t write_queued() const;
-  bool wants_write() const { return write_queued() > 0; }
-
-  /// The longest contiguous span currently writable (the head chunk of
-  /// the queue). Empty iff !wants_write().
-  std::string_view write_head() const;
-
-  /// Marks `n` bytes of write_head() as written (short writes pass the
-  /// kernel's count straight through). n must not exceed write_head().
-  void ConsumeWrite(size_t n);
-
  private:
   enum class ReadState { kHeader, kBody, kSkipBody };
 
   /// Parses as much of buffer_ as possible into pending_.
   void Advance();
 
-  /// Debug-only reactor-affinity check; no-op when unbound.
-  void AssertOnReactor() const {
-    if (loop_ != nullptr) loop_->AssertOnLoopThread();
-  }
-
-  const EventLoop* loop_ = nullptr;
   Options options_;
   Status error_;
   bool peer_closed_ = false;
@@ -158,10 +129,6 @@ class Connection {
 
   std::deque<PendingFrame> pending_;
   uint64_t frames_parsed_ = 0;
-
-  std::deque<std::string> write_queue_;
-  size_t write_offset_ = 0;  // consumed prefix of write_queue_.front()
-  size_t write_queued_ = 0;  // total unconsumed bytes across the queue
 };
 
 }  // namespace hypermine::net

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace hypermine::net {
@@ -85,12 +84,14 @@ std::string EncodeHttpResponse(const HttpResponse& response,
 HttpConnection::HttpConnection(Options options) : options_(options) {}
 
 void HttpConnection::Ingest(std::string_view data) {
+  AssertOnReactor();
   if (corrupt()) return;  // bytes after a violation are ignored
   buffer_.append(data);
   Advance();
 }
 
 void HttpConnection::OnPeerClosed() {
+  AssertOnReactor();
   peer_closed_ = true;
   if (!corrupt() && !buffer_.empty()) {
     error_ = Status::Corrupted("connection closed mid-request");
@@ -197,6 +198,7 @@ bool HttpConnection::ParseHead(std::string_view head) {
 }
 
 bool HttpConnection::TakeRequest(HttpRequest* out) {
+  AssertOnReactor();
   if (pending_.empty()) return false;
   *out = std::move(pending_.front());
   pending_.pop_front();
@@ -210,31 +212,10 @@ bool HttpConnection::wants_read() const {
     return false;
   }
   if (options_.write_high_water != 0 &&
-      write_queued_ >= options_.write_high_water) {
+      write_queued() >= options_.write_high_water) {
     return false;
   }
   return true;
-}
-
-void HttpConnection::QueueWrite(std::string bytes) {
-  if (bytes.empty()) return;
-  write_queued_ += bytes.size();
-  write_queue_.push_back(std::move(bytes));
-}
-
-std::string_view HttpConnection::write_head() const {
-  if (write_queue_.empty()) return {};
-  return std::string_view(write_queue_.front()).substr(write_offset_);
-}
-
-void HttpConnection::ConsumeWrite(size_t n) {
-  HM_CHECK_LE(n, write_head().size());
-  write_offset_ += n;
-  write_queued_ -= n;
-  if (write_offset_ == write_queue_.front().size()) {
-    write_queue_.pop_front();
-    write_offset_ = 0;
-  }
 }
 
 }  // namespace hypermine::net

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/write_queue.h"
 #include "util/status.h"
 
 namespace hypermine::net {
@@ -56,18 +57,19 @@ std::string_view HttpReasonPhrase(int status);
 std::string EncodeHttpResponse(const HttpResponse& response, bool keep_alive);
 
 /// Per-socket HTTP state machine: Ingest() bytes the reactor read, take
-/// parsed requests out, queue encoded response bytes for the reactor to
-/// drain. Mirrors net::Connection's contract: it owns no descriptor, never
-/// blocks, and a protocol violation flips corrupt() — the server answers
-/// 400 and closes after the flush.
+/// parsed requests out, queue encoded response bytes on the WriteQueue it
+/// is for the reactor to drain. Mirrors net::Connection's contract: it
+/// owns no descriptor, never blocks, and a protocol violation flips
+/// corrupt() — the server answers 400 and closes after the flush.
 ///
 /// Scope limits (this is an admin plane, not a web server): request bodies
 /// are a parse error (Content-Length/Transfer-Encoding present), the head
 /// (request line + headers) is capped at max_head_bytes, and pipelined
 /// requests beyond max_pending_requests pause reads until handled.
 ///
-/// Thread-safety: none. One HttpConnection belongs to one reactor thread.
-class HttpConnection {
+/// Thread-safety: none. One HttpConnection belongs to one reactor thread;
+/// after BindLoop, debug builds verify that claim on every mutating call.
+class HttpConnection : public WriteQueue {
  public:
   struct Options {
     /// Request line + headers cap; a head that exceeds it is fatal.
@@ -98,14 +100,6 @@ class HttpConnection {
 
   bool wants_read() const;
 
-  // --- write side (same drain contract as net::Connection) -------------
-
-  void QueueWrite(std::string bytes);
-  size_t write_queued() const { return write_queued_; }
-  bool wants_write() const { return write_queued_ > 0; }
-  std::string_view write_head() const;
-  void ConsumeWrite(size_t n);
-
   /// A response with Connection: close was queued (or a 400 after
   /// corruption): the server closes once the write queue drains.
   void MarkClose() { close_requested_ = true; }
@@ -126,10 +120,6 @@ class HttpConnection {
   size_t scanned_ = 0;  // prefix of buffer_ known to hold no blank line
 
   std::deque<HttpRequest> pending_;
-
-  std::deque<std::string> write_queue_;
-  size_t write_offset_ = 0;
-  size_t write_queued_ = 0;
 };
 
 }  // namespace hypermine::net

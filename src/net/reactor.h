@@ -40,6 +40,10 @@ struct ReactorConn {
   /// state machine (machine stays default-constructed and unused).
   bool admin = false;
   std::unique_ptr<HttpConnection> http;
+  /// The write queue of whichever state machine this connection runs.
+  WriteQueue& writes() {
+    return admin ? static_cast<WriteQueue&>(*http) : machine;
+  }
 
   /// Write-drain timing (query conns): set when the write queue goes
   /// non-empty, observed into the drain histogram when it empties.

@@ -381,17 +381,12 @@ void Server::TeardownReactor(Reactor& r) {
   // responses that were finished when Stop hit; a stalled client gets a
   // close instead of an unbounded wait.
   for (auto& [id, conn] : r.conns) {
-    while (conn->admin ? conn->http->wants_write()
-                       : conn->machine.wants_write()) {
-      std::string_view head = conn->admin ? conn->http->write_head()
-                                          : conn->machine.write_head();
+    WriteQueue& out = conn->writes();
+    while (out.wants_write()) {
+      const std::string_view head = out.write_head();
       Socket::IoResult io = conn->socket.WriteSome(head.data(), head.size());
       if (io.bytes == 0) break;
-      if (conn->admin) {
-        conn->http->ConsumeWrite(io.bytes);
-      } else {
-        conn->machine.ConsumeWrite(io.bytes);
-      }
+      out.ConsumeWrite(io.bytes);
     }
     conn->closed = true;
   }
@@ -567,13 +562,13 @@ void Server::RegisterAccepted(Reactor& r, Socket socket, bool admin) {
   conn->reactor = &r;
   conn->socket = std::move(socket);
   conn->last_activity = std::chrono::steady_clock::now();
-  // Ties the connection's state machine to this reactor for life: debug
-  // builds abort if any other thread ever drives it.
-  conn->machine.BindLoop(&r.loop);
   if (admin) {
     conn->admin = true;
     conn->http = std::make_unique<HttpConnection>();
   }
+  // Ties the connection's state machine to this reactor for life: debug
+  // builds abort if any other thread ever drives it.
+  conn->writes().BindLoop(&r.loop);
   Status added = r.loop.Add(conn->socket.fd(), conn->id, /*read=*/true,
                             /*write=*/false);
   if (!added.ok()) {
@@ -643,18 +638,13 @@ void Server::ReadFromConn(Reactor& r, ReactorConn* conn) {
 
 void Server::FlushWrites(Reactor& r, ReactorConn* conn) {
   (void)r;  // the capability is the point: only the owning loop writes
-  while (conn->admin ? conn->http->wants_write()
-                     : conn->machine.wants_write()) {
-    std::string_view head = conn->admin ? conn->http->write_head()
-                                        : conn->machine.write_head();
+  WriteQueue& out = conn->writes();
+  while (out.wants_write()) {
+    const std::string_view head = out.write_head();
     Socket::IoResult io = conn->socket.WriteSome(head.data(), head.size());
     if (io.bytes > 0) {
-      if (conn->admin) {
-        conn->http->ConsumeWrite(io.bytes);
-      } else {
-        conn->machine.ConsumeWrite(io.bytes);
-        c_bytes_written_->Increment(io.bytes);
-      }
+      out.ConsumeWrite(io.bytes);
+      if (!conn->admin) c_bytes_written_->Increment(io.bytes);
       conn->last_activity = std::chrono::steady_clock::now();
       continue;
     }
@@ -1080,12 +1070,10 @@ std::string StatuszJson(api::Engine* engine, const Server* server,
       static_cast<unsigned long long>(spec.provenance.created_unix));
   out += StrFormat(
       "  \"engine\": {\"cache\": {\"hits\": %llu, \"misses\": %llu, "
-      "\"evictions\": %llu, \"shards\": %zu}, \"swaps\": %llu, "
-      "\"threads\": %zu},\n",
+      "\"evictions\": %llu}, \"swaps\": %llu, \"threads\": %zu},\n",
       static_cast<unsigned long long>(cache.hits),
       static_cast<unsigned long long>(cache.misses),
       static_cast<unsigned long long>(cache.evictions),
-      engine->cache_shards(),
       static_cast<unsigned long long>(engine->swap_count()),
       engine->num_threads());
   out += StrFormat(

@@ -33,19 +33,6 @@ RuleIndex::Key RuleIndex::TailKey(std::span<const core::VertexId> tail) {
   return key;
 }
 
-size_t RuleIndex::KeyHasher::operator()(const Key& key) const noexcept {
-  // splitmix64-style mix of each half; matches the spirit of
-  // DirectedHypergraph::EdgeKeyHasher.
-  auto mix = [](uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  };
-  return static_cast<size_t>(mix(key.hi) * 0x9ddfea08eb382d69ull +
-                             mix(key.lo));
-}
-
 RuleIndex RuleIndex::Build(const core::DirectedHypergraph& graph) {
   RuleIndex index;
   index.num_vertices_ = graph.num_vertices();

@@ -72,7 +72,9 @@ class RuleIndex {
     friend bool operator==(const Key&, const Key&) = default;
   };
   struct KeyHasher {
-    size_t operator()(const Key& key) const noexcept;
+    size_t operator()(const Key& key) const noexcept {
+      return core::HashIdKey(key.hi, key.lo);
+    }
   };
 
   /// Canonical key of a tail set; kInvalidTailKey for tails that no

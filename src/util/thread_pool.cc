@@ -37,8 +37,8 @@ void ThreadPool::WorkerLoop() {
                  return shutting_down_ || !pending_.empty();
                });
       if (pending_.empty()) return;  // shutting down with a drained queue
-      task = std::move(pending_.back());
-      pending_.pop_back();
+      task = std::move(pending_.front());
+      pending_.pop_front();
     }
     task();
   }

@@ -1,6 +1,7 @@
 #ifndef HYPERMINE_UTIL_THREAD_POOL_H_
 #define HYPERMINE_UTIL_THREAD_POOL_H_
 
+#include <deque>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -13,9 +14,12 @@ namespace hypermine {
 /// Fixed-size worker pool: the server's batch workers, the helpers of a
 /// multi-threaded api::Engine and of core::BuildAssociationHypergraph, and
 /// hypermine_serve's reload thread each run on one. Tasks are plain
-/// closures; Submit never blocks. Tasks still queued at destruction time
-/// are drained, not dropped: a `!reload` queued behind a running one still
-/// runs, against the engine it captured, before the pool is gone.
+/// closures; Submit never blocks. Queued tasks start in submit order
+/// (FIFO), so on a one-worker pool they also finish in that order: back-to-
+/// back `!reload`s apply in the order they were typed. Tasks still queued
+/// at destruction time are drained, not dropped: a `!reload` queued behind
+/// a running one still runs, against the engine it captured, before the
+/// pool is gone.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers; 0 = HardwareThreads().
@@ -27,7 +31,7 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Enqueues one task.
+  /// Enqueues one task behind every task already queued.
   void Submit(std::function<void()> task);
 
   /// Runs body(0) .. body(n - 1), distributing indices over the workers via
@@ -48,7 +52,7 @@ class ThreadPool {
 
   Mutex mutex_;
   CondVar cv_;
-  std::vector<std::function<void()>> pending_ HM_GUARDED_BY(mutex_);
+  std::deque<std::function<void()>> pending_ HM_GUARDED_BY(mutex_);
   bool shutting_down_ HM_GUARDED_BY(mutex_) = false;
   /// Written once by the constructor before any worker exists, then only
   /// read (num_threads, joins) — no lock needed.

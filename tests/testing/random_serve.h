@@ -1,5 +1,5 @@
-#ifndef HYPERMINE_SERVE_TESTUTIL_H_
-#define HYPERMINE_SERVE_TESTUTIL_H_
+#ifndef HYPERMINE_TESTS_TESTING_RANDOM_SERVE_H_
+#define HYPERMINE_TESTS_TESTING_RANDOM_SERVE_H_
 
 #include <vector>
 
@@ -8,9 +8,9 @@
 #include "util/logging.h"
 #include "util/rng.h"
 
-namespace hypermine::serve {
+namespace hypermine::testing {
 
-/// Deterministic random association graph for tests and benchmarks:
+/// Deterministic random association graph for the serving tests:
 /// `edges` distinct single/pair-tail hyperedges (pair with probability
 /// `pair_prob`) over `vertices` vertices with uniform weights.
 inline core::DirectedHypergraph RandomServeGraph(size_t vertices,
@@ -58,6 +58,6 @@ inline std::vector<api::QueryRequest> RandomServeQueries(
   return queries;
 }
 
-}  // namespace hypermine::serve
+}  // namespace hypermine::testing
 
-#endif  // HYPERMINE_SERVE_TESTUTIL_H_
+#endif  // HYPERMINE_TESTS_TESTING_RANDOM_SERVE_H_

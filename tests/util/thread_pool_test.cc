@@ -43,6 +43,28 @@ TEST(ThreadPoolTest, PendingTasksDrainOnDestruction) {
   EXPECT_EQ(ran.load(), 16u);
 }
 
+TEST(ThreadPoolTest, RunsQueuedTasksInSubmitOrder) {
+  // One worker, held busy until every task is queued: the queue alone
+  // decides the order, and it must be the order of submission.
+  std::vector<int> order;
+  {
+    ThreadPool pool(1);
+    std::promise<void> started;
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    pool.Submit([&started, gate] {
+      started.set_value();
+      gate.wait();
+    });
+    started.get_future().wait();
+    for (int i = 1; i <= 3; ++i) {
+      pool.Submit([&order, i] { order.push_back(i); });
+    }
+    release.set_value();
+  }  // the destructor drains the queue on the one worker
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
   ThreadPool pool(4);
   constexpr size_t kN = 1000;

@@ -51,6 +51,8 @@ REACTOR_FILES = (
     "src/net/connection.h",
     "src/net/http.cc",
     "src/net/http.h",
+    "src/net/write_queue.cc",
+    "src/net/write_queue.h",
 )
 
 BLOCKING_PATTERNS = (
