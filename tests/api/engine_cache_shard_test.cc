@@ -1,9 +1,11 @@
-// The sharded result cache: per-shard counters must sum to the totals the
-// old single-lock cache reported, a hot swap must invalidate every shard
-// (no stale model_version can ever be served), and hammering disjoint key
-// ranges from many threads must be race-free (this test is part of the CI
-// TSan matrix — the absence of lock-ordering and data-race reports under
-// load is the point, not just the counter math).
+// The engine's result cache: one exact LRU over all of cache_capacity
+// under one lock. Capacity 0 caches nothing, what leaves the cache is
+// what eviction turned away, a hot swap purges every entry (no stale
+// model_version can ever be served), and threads hammering disjoint keys
+// get exact accounting (this test is part of the CI TSan matrix — the
+// absence of data-race reports under load is the point, not just the
+// counter math). The file keeps the name it had when the cache was split
+// into shards.
 #include "api/engine.h"
 
 #include <gtest/gtest.h>
@@ -13,19 +15,18 @@
 #include <vector>
 
 #include "api/model.h"
-#include "serve/testutil.h"
-#include "util/logging.h"
+#include "testing/random_serve.h"
 
 namespace hypermine::api {
 namespace {
 
 std::shared_ptr<const Model> RandomModel(size_t vertices, size_t edges,
                                          uint64_t seed) {
-  return Model::FromGraph(serve::RandomServeGraph(vertices, edges, seed));
+  return Model::FromGraph(testing::RandomServeGraph(vertices, edges, seed));
 }
 
 /// Distinct single-item top-k queries make distinct cache keys: the key is
-/// (version, kind, k, min_acv, items), so varying the item varies the key.
+/// (version, kind, k, min_acv, items), so varying the item or k varies it.
 QueryRequest ItemQuery(core::VertexId item, size_t k = 5) {
   QueryRequest request;
   request.items = {item};
@@ -33,113 +34,44 @@ QueryRequest ItemQuery(core::VertexId item, size_t k = 5) {
   return request;
 }
 
-TEST(EngineCacheShardTest, AutoShardCountIsCappedByCapacity) {
-  std::shared_ptr<const Model> model = RandomModel(16, 40, 7);
-  {
-    Engine engine(model, {});  // default capacity 4096
-    EXPECT_EQ(engine.cache_shards(), 8u)
-        << "auto = min(8, max(1, capacity / 64))";
-  }
-  {
-    EngineOptions options;
-    options.cache_capacity = 256;  // auto: 4 shards of 64 entries
-    Engine engine(model, options);
-    EXPECT_EQ(engine.cache_shards(), 4u);
-  }
-  {
-    EngineOptions options;
-    options.cache_capacity = 3;  // tiny cache: exact LRU beats sharding
-    Engine engine(model, options);
-    EXPECT_EQ(engine.cache_shards(), 1u)
-        << "auto must not shard a cache too small for 64-entry shards";
-  }
-  {
-    EngineOptions options;
-    options.cache_capacity = 100;
-    options.cache_shards = 64;
-    Engine engine(model, options);
-    EXPECT_EQ(engine.cache_shards(), 64u);
-  }
-  {
-    EngineOptions options;
-    options.cache_capacity = 0;  // caching disabled: no shards at all
-    Engine engine(model, options);
-    EXPECT_EQ(engine.cache_shards(), 0u);
-    auto response = engine.Query(ItemQuery(0));
-    ASSERT_TRUE(response.ok());
-    EXPECT_FALSE(response->from_cache);
-    auto again = engine.Query(ItemQuery(0));
-    ASSERT_TRUE(again.ok());
-    EXPECT_FALSE(again->from_cache) << "nothing may be cached";
-    const CacheStats stats = engine.cache_stats();
-    EXPECT_EQ(stats.hits, 0u);
-    EXPECT_EQ(stats.misses, 0u);
-  }
-}
-
-TEST(EngineCacheShardTest, ShardStatsSumToTheOldGlobalTotals) {
-  const size_t kVertices = 60;
-  std::shared_ptr<const Model> model = RandomModel(kVertices, 200, 11);
+TEST(EngineCacheTest, ZeroCapacityCachesAndCountsNothing) {
   EngineOptions options;
-  options.cache_capacity = 256;  // > kVertices: no evictions interfere
-  options.cache_shards = 8;
-  options.num_threads = 1;  // sequential: hit/miss order is deterministic
-  Engine engine(model, options);
-
-  // First pass: every distinct key misses. Second pass: every key hits.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (core::VertexId v = 0; v < kVertices; ++v) {
-      auto response = engine.Query(ItemQuery(v));
-      ASSERT_TRUE(response.ok()) << "pass " << pass << " item " << v;
-      EXPECT_EQ(response->from_cache, pass == 1);
-    }
-  }
-
-  const CacheStats total = engine.cache_stats();
-  EXPECT_EQ(total.misses, kVertices);
-  EXPECT_EQ(total.hits, kVertices);
-  EXPECT_EQ(total.evictions, 0u);
-  EXPECT_EQ(engine.cache_entries(), kVertices);
-
-  // The per-shard triples are the real counters; the totals above are
-  // their sum, and the keys actually spread (with 60 keys over 8 shards,
-  // a shard left empty would mean the hash is degenerate).
-  const std::vector<CacheStats> shards = engine.cache_shard_stats();
-  ASSERT_EQ(shards.size(), 8u);
-  CacheStats summed;
-  size_t shards_used = 0;
-  for (const CacheStats& s : shards) {
-    summed.hits += s.hits;
-    summed.misses += s.misses;
-    summed.evictions += s.evictions;
-    if (s.misses > 0) ++shards_used;
-  }
-  EXPECT_EQ(summed.hits, total.hits);
-  EXPECT_EQ(summed.misses, total.misses);
-  EXPECT_EQ(summed.evictions, total.evictions);
-  EXPECT_GE(shards_used, 2u) << "keys must spread across shards";
+  options.cache_capacity = 0;
+  Engine engine(RandomModel(16, 40, 7), options);
+  auto response = engine.Query(ItemQuery(0));
+  ASSERT_TRUE(response.ok());
+  EXPECT_FALSE(response->from_cache);
+  auto again = engine.Query(ItemQuery(0));
+  ASSERT_TRUE(again.ok());
+  EXPECT_FALSE(again->from_cache) << "nothing may be cached";
+  EXPECT_EQ(again->ranked, response->ranked);
+  const CacheStats stats = engine.cache_stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(engine.cache_entries(), 0u);
 }
 
-TEST(EngineCacheShardTest, EvictionsAreScopedToTheOverfullShard) {
+TEST(EngineCacheTest, EvictionsAreTheMissesTheCapacityTurnedAway) {
   std::shared_ptr<const Model> model = RandomModel(40, 120, 13);
   EngineOptions options;
   options.cache_capacity = 8;
-  options.cache_shards = 4;  // 2 entries per shard
   options.num_threads = 1;
   Engine engine(model, options);
 
   for (core::VertexId v = 0; v < 40; ++v) {
     ASSERT_TRUE(engine.Query(ItemQuery(v)).ok());
   }
-  // Per-shard LRU: the cache can never exceed its total capacity, and
-  // each shard evicted exactly what flowed past its own slice.
-  EXPECT_LE(engine.cache_entries(), 8u);
-  const CacheStats total = engine.cache_stats();
-  EXPECT_EQ(total.misses, 40u);
-  EXPECT_EQ(total.evictions, 40u - engine.cache_entries());
+  // One LRU over the whole capacity ends full, and every miss is
+  // admitted, so what is gone is what was evicted.
+  EXPECT_EQ(engine.cache_entries(), 8u);
+  const CacheStats stats = engine.cache_stats();
+  EXPECT_EQ(stats.misses, 40u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.evictions, stats.misses - engine.cache_entries());
 }
 
-TEST(EngineCacheShardTest, HotSwapInvalidatesEveryShard) {
+TEST(EngineCacheTest, HotSwapPurgesEveryEntry) {
   const size_t kVertices = 48;
   std::shared_ptr<const Model> a = RandomModel(kVertices, 160, 21);
   std::shared_ptr<const Model> b = RandomModel(kVertices, 160, 22);
@@ -147,11 +79,9 @@ TEST(EngineCacheShardTest, HotSwapInvalidatesEveryShard) {
 
   EngineOptions options;
   options.cache_capacity = 256;
-  options.cache_shards = 8;
   options.num_threads = 1;
   Engine engine(a, options);
 
-  // Populate every shard with model-a answers.
   for (core::VertexId v = 0; v < kVertices; ++v) {
     auto response = engine.Query(ItemQuery(v));
     ASSERT_TRUE(response.ok());
@@ -160,10 +90,9 @@ TEST(EngineCacheShardTest, HotSwapInvalidatesEveryShard) {
   ASSERT_EQ(engine.cache_entries(), kVertices);
 
   engine.Swap(b);
-  // The purge is eager and coherent: no shard may retain an entry of the
-  // dead version, so the cache is empty the moment Swap returns.
+  // The purge is eager: no entry of the dead version outlives Swap.
   EXPECT_EQ(engine.cache_entries(), 0u)
-      << "a shard kept a stale entry across the swap";
+      << "an entry of the old model survived the swap";
 
   // And no stale answer is served: every re-query misses and carries the
   // new model's version.
@@ -180,43 +109,47 @@ TEST(EngineCacheShardTest, HotSwapInvalidatesEveryShard) {
   EXPECT_EQ(warm->model_version, b->version());
 }
 
-TEST(EngineCacheShardTest, HammeringDisjointKeysFromManyThreadsIsClean) {
-  // N threads, each owning a disjoint key range, all querying through the
-  // sharded cache at once. Disjoint keys mean deterministic accounting
-  // (each thread's first pass misses, second pass hits, no cross-thread
-  // sharing) while the shard locks are hammered from every thread — the
-  // TSan run of this test is what certifies the sharding has no races.
+TEST(EngineCacheTest, DefaultCacheKeepsEveryAnswerFromEightThreads) {
+  // Eight threads own disjoint keys and fill a default engine to its
+  // capacity of 4,096 at once, then replay their keys in order. Exact LRU
+  // over the whole capacity keeps every answer, so each first pass
+  // misses, each replay hits and nothing is evicted. The threads all go
+  // through the one cache lock, which keeps a cross-thread cache hammer
+  // in CI's TSan scope.
   constexpr size_t kThreads = 8;
-  constexpr size_t kKeysPerThread = 12;
-  constexpr core::VertexId kVertices = kThreads * kKeysPerThread;
+  constexpr core::VertexId kVertices = 64;
+  constexpr size_t kMaxK = 64;
+  const size_t capacity = EngineOptions{}.cache_capacity;
+  ASSERT_EQ(capacity, kVertices * kMaxK);
   std::shared_ptr<const Model> model = RandomModel(kVertices, 300, 31);
-  EngineOptions options;
-  options.cache_capacity = 4 * kVertices;  // no evictions
-  options.cache_shards = 8;
-  options.num_threads = 2;
-  Engine engine(model, options);
+  Engine engine(model);
 
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&engine, t] {
-      const core::VertexId begin = t * kKeysPerThread;
+      // Thread t asks about its own vertices, each with every k: the key
+      // holds both, so no two threads share a key.
+      const core::VertexId begin = t * (kVertices / kThreads);
       for (int pass = 0; pass < 2; ++pass) {
-        for (core::VertexId v = begin; v < begin + kKeysPerThread; ++v) {
-          auto response = engine.Query(ItemQuery(v));
-          ASSERT_TRUE(response.ok());
-          ASSERT_EQ(response->from_cache, pass == 1)
-              << "thread " << t << " item " << v;
+        for (core::VertexId v = begin; v < begin + kVertices / kThreads;
+             ++v) {
+          for (size_t k = 1; k <= kMaxK; ++k) {
+            auto response = engine.Query(ItemQuery(v, k));
+            ASSERT_TRUE(response.ok());
+            ASSERT_EQ(response->from_cache, pass == 1)
+                << "thread " << t << " item " << v << " k " << k;
+          }
         }
       }
     });
   }
   for (std::thread& thread : threads) thread.join();
 
-  const CacheStats total = engine.cache_stats();
-  EXPECT_EQ(total.misses, kThreads * kKeysPerThread);
-  EXPECT_EQ(total.hits, kThreads * kKeysPerThread);
-  EXPECT_EQ(total.evictions, 0u);
-  EXPECT_EQ(engine.cache_entries(), kThreads * kKeysPerThread);
+  const CacheStats stats = engine.cache_stats();
+  EXPECT_EQ(stats.misses, capacity);
+  EXPECT_EQ(stats.hits, capacity);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(engine.cache_entries(), capacity);
 }
 
 }  // namespace
