@@ -1,6 +1,7 @@
 #include "net/protocol.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "serve/wire.h"
 #include "util/string_util.h"
@@ -93,6 +94,10 @@ Status EncodeQueryFrame(uint64_t request_id, const api::QueryRequest& request,
     return Status::InvalidArgument(
         StrFormat("query names %zu exceed kMaxQueryItems (%zu)",
                   request.names.size(), api::kMaxQueryItems));
+  }
+  if (request.k > UINT32_MAX) {
+    return Status::InvalidArgument(StrFormat(
+        "query k %zu exceeds the wire's 32-bit field", request.k));
   }
   std::string body;
   AppendPod<uint8_t>(
@@ -190,9 +195,21 @@ Status DecodeResponseBody(std::string_view body, WireResponse* response) {
                              : api::QueryRequest::Kind::kReachable;
   uint32_t count = 0;
   if (!reader.ReadPod(&count)) return Truncated("result count");
+  // A ranked consequent takes at least a name length and an ACV, a
+  // closure vertex at least a name length. A count the rest of the body
+  // cannot hold is corrupt, checked before the reserve so a damaged count
+  // cannot ask for a giant allocation.
+  const bool topk = response->kind == api::QueryRequest::Kind::kTopK;
+  const size_t min_record =
+      topk ? sizeof(uint16_t) + sizeof(double) : sizeof(uint16_t);
+  if (count > reader.remaining() / min_record) {
+    return Status::Corrupted(
+        StrFormat("result count %u exceeds the %zu-byte response body",
+                  count, body.size()));
+  }
   response->ranked.clear();
   response->closure.clear();
-  if (response->kind == api::QueryRequest::Kind::kTopK) {
+  if (topk) {
     response->ranked.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
       WireConsequent c;

@@ -91,7 +91,8 @@ Status DecodeFrameHeader(std::string_view data, FrameHeader* header);
 
 /// Encodes a complete query frame (header + body). Only `request.names`
 /// travel; kInvalidArgument when names are absent, too many
-/// (api::kMaxQueryItems), or a name exceeds kMaxStringBytes.
+/// (api::kMaxQueryItems), a name exceeds kMaxStringBytes, or `k` does not
+/// fit the wire's 32-bit field.
 Status EncodeQueryFrame(uint64_t request_id, const api::QueryRequest& request,
                         std::string* out);
 
@@ -109,8 +110,9 @@ Status EncodeResponseFrame(uint64_t request_id, const WireResponse& response,
                            std::string* out,
                            uint16_t version = kProtocolVersion);
 
-/// Decodes a response frame body. kCorrupted on truncation or trailing
-/// garbage.
+/// Decodes a response frame body. kCorrupted on truncation, trailing
+/// garbage, or a result count the body is too short to hold (checked
+/// before anything is allocated for the results).
 Status DecodeResponseBody(std::string_view body, WireResponse* response);
 
 /// Reads one frame (header + body) off a socket. `max_body` tightens the

@@ -70,14 +70,14 @@ RuleIndex RuleIndex::Build(const core::DirectedHypergraph& graph) {
     }
     for (; i < keyed.size() && keyed[i].first == key; ++i) {
       const core::Hyperedge& e = edges[keyed[i].second];
-      index.entries_.push_back({e.head, e.weight, keyed[i].second});
+      index.entries_.push_back({e.weight, e.head, keyed[i].second});
     }
   }
   index.group_begin_.push_back(static_cast<uint32_t>(index.entries_.size()));
   return index;
 }
 
-std::span<const RankedConsequent> RuleIndex::Consequents(
+std::span<const RuleIndex::Entry> RuleIndex::Consequents(
     std::span<const core::VertexId> tail) const {
   auto it = groups_.find(TailKey(tail));
   if (it == groups_.end()) return {};
@@ -86,9 +86,12 @@ std::span<const RankedConsequent> RuleIndex::Consequents(
 
 std::vector<RankedConsequent> RuleIndex::TopK(
     std::span<const core::VertexId> tail, size_t k) const {
-  std::span<const RankedConsequent> group = Consequents(tail);
+  std::span<const Entry> group = Consequents(tail);
   group = group.first(std::min(k, group.size()));
-  return {group.begin(), group.end()};
+  std::vector<RankedConsequent> out;
+  out.reserve(group.size());
+  for (const Entry& entry : group) out.push_back(entry.Ranked());
+  return out;
 }
 
 std::vector<RankedConsequent> RuleIndex::TopKWithin(
@@ -102,13 +105,19 @@ std::vector<RankedConsequent> RuleIndex::TopKWithin(
   set.erase(std::unique(set.begin(), set.end()), set.end());
   while (!set.empty() && set.back() >= num_vertices_) set.pop_back();
 
-  // Best ACV per head over all tail subsets of size 1..3.
-  std::unordered_map<core::VertexId, RankedConsequent> best;
-  auto consider = [this, &best](std::span<const core::VertexId> tail) {
-    for (const RankedConsequent& entry : Consequents(tail)) {
-      auto [slot, inserted] = best.emplace(entry.head, entry);
-      if (!inserted && entry.acv > slot->second.acv) slot->second = entry;
-    }
+  // One cursor per non-empty group of a tail subset of size 1..3.
+  struct Cursor {
+    const Entry* next;
+    const Entry* end;
+  };
+  std::vector<Cursor> heap;
+  size_t entries = 0;
+  auto consider = [this, &heap, &entries](
+                      std::span<const core::VertexId> tail) {
+    std::span<const Entry> group = Consequents(tail);
+    if (group.empty()) return;
+    heap.push_back({group.data(), group.data() + group.size()});
+    entries += group.size();
   };
   const size_t n = set.size();
   for (size_t a = 0; a < n; ++a) {
@@ -123,14 +132,35 @@ std::vector<RankedConsequent> RuleIndex::TopKWithin(
     }
   }
 
-  out.reserve(best.size());
-  for (const auto& [head, entry] : best) out.push_back(entry);
-  std::sort(out.begin(), out.end(),
-            [](const RankedConsequent& a, const RankedConsequent& b) {
-              if (a.acv != b.acv) return a.acv > b.acv;
-              return a.head < b.head;
-            });
-  if (out.size() > k) out.resize(k);
+  // Best-first merge: the heap's top is the best unread entry, by (ACV
+  // desc, head asc, edge id asc). Each group is sorted by (ACV desc, head
+  // asc) with one entry per head, so entries pop in that order overall: a
+  // head's first pop carries its best ACV and, on a tie, the smallest
+  // edge id, and heads come out in answer order.
+  auto worse = [](const Cursor& x, const Cursor& y) {
+    const Entry& a = *x.next;
+    const Entry& b = *y.next;
+    if (a.acv != b.acv) return a.acv < b.acv;
+    if (a.head != b.head) return a.head > b.head;
+    return a.edge > b.edge;
+  };
+  std::make_heap(heap.begin(), heap.end(), worse);
+  std::vector<bool> emitted(num_vertices_, false);
+  out.reserve(std::min({k, entries, num_vertices_}));
+  while (!heap.empty() && out.size() < k) {
+    std::pop_heap(heap.begin(), heap.end(), worse);
+    Cursor& top = heap.back();
+    const Entry& entry = *top.next;
+    if (!emitted[entry.head]) {
+      emitted[entry.head] = true;
+      out.push_back(entry.Ranked());
+    }
+    if (++top.next == top.end) {
+      heap.pop_back();
+    } else {
+      std::push_heap(heap.begin(), heap.end(), worse);
+    }
+  }
   return out;
 }
 
@@ -157,7 +187,7 @@ std::vector<core::VertexId> RuleIndex::Reachable(
       if (--missing[group] != 0) continue;
       // Whole tail reached: its rules fire best ACV first, down to
       // min_acv.
-      for (const RankedConsequent& entry : GroupEntries(group)) {
+      for (const Entry& entry : GroupEntries(group)) {
         if (entry.acv < min_acv) break;
         reach(entry.head);
       }

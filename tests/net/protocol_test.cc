@@ -4,6 +4,7 @@
 // sockets — so a framing regression fails here before the server tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "net/protocol.h"
@@ -149,6 +150,22 @@ TEST(ProtocolTest, QueryEncodeRejectsIdOnlyAndOversizedRequests) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(ProtocolTest, QueryEncodeRejectsKAboveTheWireField) {
+  // k travels as a u32; 2^32 must not go out as 0 and come back empty.
+  api::QueryRequest request = TopKRequest();
+  request.k = size_t{1} << 32;
+  std::string frame;
+  EXPECT_EQ(EncodeQueryFrame(1, request, &frame).code(),
+            StatusCode::kInvalidArgument);
+
+  request.k = UINT32_MAX;
+  ASSERT_TRUE(EncodeQueryFrame(1, request, &frame).ok());
+  api::QueryRequest decoded;
+  ASSERT_TRUE(
+      DecodeQueryBody(frame.substr(kFrameHeaderBytes), &decoded).ok());
+  EXPECT_EQ(decoded.k, UINT32_MAX);
+}
+
 TEST(ProtocolTest, TruncatedQueryBodyIsCorrupted) {
   std::string frame;
   ASSERT_TRUE(EncodeQueryFrame(1, TopKRequest(), &frame).ok());
@@ -234,6 +251,45 @@ TEST(ProtocolTest, TruncatedResponseBodyIsCorrupted) {
     EXPECT_EQ(DecodeResponseBody(body.substr(0, len), &decoded).code(),
               StatusCode::kCorrupted)
         << "len=" << len;
+  }
+}
+
+TEST(ProtocolTest, ResultCountAboveTheBodyIsCorruptedBeforeAllocating) {
+  // An 18-byte empty answer whose u32 count (its last 4 bytes) claims
+  // 0xFFFF0000 results: reserving that many would ask for about 172 GB.
+  for (auto kind : {api::QueryRequest::Kind::kTopK,
+                    api::QueryRequest::Kind::kReachable}) {
+    WireResponse empty;
+    empty.kind = kind;
+    std::string frame;
+    ASSERT_TRUE(EncodeResponseFrame(1, empty, &frame).ok());
+    std::string body = frame.substr(kFrameHeaderBytes);
+    ASSERT_EQ(body.size(), 18u);
+    const uint32_t count = 0xFFFF0000u;
+    body.replace(body.size() - sizeof(count), sizeof(count),
+                 reinterpret_cast<const char*>(&count), sizeof(count));
+    WireResponse decoded;
+    EXPECT_EQ(DecodeResponseBody(body, &decoded).code(),
+              StatusCode::kCorrupted);
+  }
+
+  // The bound is the smallest record: a body holding one 10-byte
+  // consequent (empty name) or one 2-byte closure name still decodes, and
+  // a count of 2 over it does not.
+  WireResponse ranked;
+  ranked.ranked = {{"", 0.5}};
+  WireResponse closure;
+  closure.kind = api::QueryRequest::Kind::kReachable;
+  closure.closure = {""};
+  for (const WireResponse& response : {ranked, closure}) {
+    std::string frame;
+    ASSERT_TRUE(EncodeResponseFrame(1, response, &frame).ok());
+    std::string body = frame.substr(kFrameHeaderBytes);
+    WireResponse decoded;
+    ASSERT_TRUE(DecodeResponseBody(body, &decoded).ok());
+    body[14] = 2;  // the count's low byte, after the 14-byte preamble
+    EXPECT_EQ(DecodeResponseBody(body, &decoded).code(),
+              StatusCode::kCorrupted);
   }
 }
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "api/engine.h"
 #include "core/hypergraph.h"
 #include "serve/rule_index.h"
 #include "testing/scan_oracle.h"
@@ -189,6 +190,36 @@ TEST_P(RuleIndexOracleTest, TopKMatchesFullEdgeScan) {
   }
 }
 
+/// Checks one TopKWithin answer against the full edge scan: the same
+/// (head, ACV) list, and per head the witness edge TopKWithin documents,
+/// the smallest id among the edges that give the head its ACV from a tail
+/// inside the items.
+void ExpectTopKWithinMatchesScan(const GraphShape& shape, const Fixture& fx,
+                                 const RuleIndex& index,
+                                 const std::vector<VertexId>& items,
+                                 size_t k) {
+  const std::set<VertexId> have(items.begin(), items.end());
+  const std::vector<RankedConsequent> got = index.TopKWithin(items, k);
+  std::vector<std::pair<VertexId, double>> heads;
+  for (const RankedConsequent& r : got) {
+    heads.emplace_back(r.head, r.acv);
+    core::EdgeId witness = fx.graph.num_edges();
+    for (core::EdgeId id = 0; id < fx.graph.num_edges(); ++id) {
+      const Hyperedge& e = fx.graph.edges()[id];
+      bool inside = true;
+      for (VertexId v : e.TailSpan()) inside = inside && have.count(v) > 0;
+      if (inside && e.head == r.head && e.weight == r.acv) {
+        witness = id;
+        break;
+      }
+    }
+    EXPECT_EQ(r.edge, witness)
+        << shape.name << " items " << Show(items) << " head " << r.head;
+  }
+  EXPECT_EQ(heads, ScanTopKWithin(fx.graph, items, k))
+      << shape.name << " items " << Show(items) << " k=" << k;
+}
+
 TEST_P(RuleIndexOracleTest, TopKWithinMatchesFullEdgeScan) {
   const GraphShape& shape = GetParam();
   const Fixture fx = MakeGraph(shape);
@@ -197,23 +228,24 @@ TEST_P(RuleIndexOracleTest, TopKWithinMatchesFullEdgeScan) {
   for (int q = 0; q < 300; ++q) {
     const std::vector<VertexId> items = DrawItems(rng, fx, 7);
     for (size_t k : {size_t{0}, size_t{1}, size_t{5}, size_t{1000}}) {
-      const std::vector<RankedConsequent> got = index.TopKWithin(items, k);
-      std::vector<std::pair<VertexId, double>> heads;
-      for (const RankedConsequent& r : got) {
-        heads.emplace_back(r.head, r.acv);
-        // The witness edge must be a real rule for that head and ACV
-        // whose tail lies inside the items.
-        ASSERT_LT(r.edge, fx.graph.num_edges());
-        const Hyperedge& e = fx.graph.edges()[r.edge];
-        EXPECT_EQ(e.head, r.head);
-        EXPECT_EQ(e.weight, r.acv);
-        for (VertexId v : e.TailSpan()) {
-          EXPECT_NE(std::find(items.begin(), items.end(), v), items.end())
-              << shape.name << " witness " << fx.graph.EdgeToString(r.edge);
-        }
-      }
-      EXPECT_EQ(heads, ScanTopKWithin(fx.graph, items, k))
-          << shape.name << " items " << Show(items) << " k=" << k;
+      ExpectTopKWithinMatchesScan(shape, fx, index, items, k);
+    }
+  }
+}
+
+// Item sets up to the engine's cap: up to C(64, 3) subsets, so on the
+// denser shapes the merge runs over many slices at once.
+TEST_P(RuleIndexOracleTest, TopKWithinMatchesFullEdgeScanUpToMaxQueryItems) {
+  const GraphShape& shape = GetParam();
+  const Fixture fx = MakeGraph(shape);
+  const RuleIndex index = RuleIndex::Build(fx.graph);
+  Rng rng(shape.seed ^ 0x6464);
+  for (int q = 0; q < 30; ++q) {
+    const std::vector<VertexId> items =
+        DrawItems(rng, fx, api::kMaxQueryItems);
+    for (size_t k : {size_t{1}, size_t{5}, size_t{40},
+                     std::numeric_limits<size_t>::max()}) {
+      ExpectTopKWithinMatchesScan(shape, fx, index, items, k);
     }
   }
 }

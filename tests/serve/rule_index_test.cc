@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "util/logging.h"
 
 namespace hypermine::serve {
@@ -82,6 +85,54 @@ TEST(RuleIndexTest, TopKWithinUnionsSubsetsAndDedupesHeads) {
   // Duplicates and out-of-range items are tolerated.
   VertexId messy[] = {1, 0, 0, 9999};
   EXPECT_EQ(index.TopKWithin(messy, 10), ranked);
+}
+
+TEST(RuleIndexTest, TopKWithinReturnsEachHeadOnceWhenKExceedsHeads) {
+  RuleIndex index = RuleIndex::Build(TestGraph());
+  // Items {A, B, C} read six entries for three heads: E via C->E 0.90,
+  // (A,B)->E 0.80 and A->E 0.30; C via (A,B)->C 0.60; D via A->D 0.50
+  // and B->D 0.20.
+  VertexId items[] = {0, 1, 2};
+  const std::vector<RankedConsequent> want = {
+      {4, 0.90, 5}, {2, 0.60, 4}, {3, 0.50, 0}};
+  for (size_t k : {size_t{3}, size_t{4}, size_t{6}, size_t{1000},
+                   std::numeric_limits<size_t>::max()}) {
+    EXPECT_EQ(index.TopKWithin(items, k), want) << "k=" << k;
+  }
+}
+
+/// 0:A 1:B 2:C 3:D 4:E where D follows from four tails at one ACV, and E
+/// ties it through one more.
+core::DirectedHypergraph TieGraph() {
+  auto graph = core::DirectedHypergraph::Create({"A", "B", "C", "D", "E"});
+  HM_CHECK_OK(graph.status());
+  HM_CHECK_OK(graph->AddEdge({0, 1}, 3, 0.75).status());     // 0: A,B -> D
+  HM_CHECK_OK(graph->AddEdge({0}, 3, 0.75).status());        // 1: A -> D
+  HM_CHECK_OK(graph->AddEdge({0, 1, 2}, 3, 0.75).status());  // 2: A,B,C -> D
+  HM_CHECK_OK(graph->AddEdge({1}, 3, 0.75).status());        // 3: B -> D
+  HM_CHECK_OK(graph->AddEdge({2}, 4, 0.75).status());        // 4: C -> E
+  HM_CHECK_OK(graph->AddEdge({0}, 4, 0.50).status());        // 5: A -> E
+  return std::move(graph).value();
+}
+
+TEST(RuleIndexTest, TopKWithinTieWitnessIsTheSmallestEdgeId) {
+  RuleIndex index = RuleIndex::Build(TieGraph());
+  // D and E tie at 0.75, so D (the smaller head) leads; of D's four
+  // edges at 0.75, edge 0 is the witness.
+  VertexId abc[] = {0, 1, 2};
+  const std::vector<RankedConsequent> want = {{3, 0.75, 0}, {4, 0.75, 4}};
+  EXPECT_EQ(index.TopKWithin(abc, 2), want);
+  EXPECT_EQ(index.TopKWithin(abc, 10), want);
+  EXPECT_EQ(index.TopKWithin(abc, 1),
+            std::vector<RankedConsequent>{want[0]});
+  // D's smallest witness depends on the items: {B, C} reach only edge 3
+  // of its four, {A, B} reach edges 0, 1 and 3.
+  VertexId bc[] = {1, 2};
+  EXPECT_EQ(index.TopKWithin(bc, 10),
+            (std::vector<RankedConsequent>{{3, 0.75, 3}, {4, 0.75, 4}}));
+  VertexId ab[] = {1, 0};
+  EXPECT_EQ(index.TopKWithin(ab, 10),
+            (std::vector<RankedConsequent>{{3, 0.75, 0}, {4, 0.50, 5}}));
 }
 
 TEST(RuleIndexTest, ReachableFollowsPairTails) {
