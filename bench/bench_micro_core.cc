@@ -1,5 +1,6 @@
 /// google-benchmark microbenchmarks for the core kernels: ACV counting,
-/// hypergraph construction, similarity, dominators, and the classifier.
+/// hypergraph construction, similarity, dominators, the classifier, and
+/// the rule index's association query.
 #include <benchmark/benchmark.h>
 
 #include "core/assoc_table.h"
@@ -9,6 +10,7 @@
 #include "core/dominator.h"
 #include "core/pipeline.h"
 #include "core/similarity.h"
+#include "serve/rule_index.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -164,6 +166,28 @@ void BM_ClassifierPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClassifierPredict);
+
+/// RuleIndex::TopKWithin at k = 10 over random item sets of range(0)
+/// distinct vertices. At 60 items every vertex of the 60-series model is
+/// in the set, the worst case for the scan of owned tail-set ranges.
+void BM_TopKWithin(benchmark::State& state) {
+  const MarketExperiment& experiment = SharedExperiment();
+  static const serve::RuleIndex index =
+      serve::RuleIndex::Build(experiment.graph);
+  const auto items = static_cast<size_t>(state.range(0));
+  Rng rng(15);
+  std::vector<std::vector<VertexId>> sets(64);
+  for (std::vector<VertexId>& set : sets) {
+    for (size_t v : rng.SampleIndices(index.num_vertices(), items)) {
+      set.push_back(static_cast<VertexId>(v));
+    }
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.TopKWithin(sets[i++ % sets.size()], 10));
+  }
+}
+BENCHMARK(BM_TopKWithin)->Arg(1)->Arg(3)->Arg(60);
 
 }  // namespace
 }  // namespace hypermine::core

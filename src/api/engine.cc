@@ -74,11 +74,21 @@ std::string Engine::CacheKey(uint64_t model_version,
 
 StatusOr<QueryResponse> Engine::Process(const Model& model,
                                         const QueryRequest& request) {
-  // Resolve the item set. Names win over ids: they are the form that stays
-  // meaningful across hot swaps (ids are per-model).
+  // Names win over ids: they are the form that stays meaningful across hot
+  // swaps (ids are per-model). The size is checked before any name is
+  // resolved, so an oversized set is refused whatever names it holds.
+  const size_t num_items = request.names.empty() ? request.items.size()
+                                                 : request.names.size();
+  if (num_items == 0) {
+    return Status::InvalidArgument("query: empty item set");
+  }
+  if (num_items > kMaxQueryItems) {
+    return Status::InvalidArgument(
+        "query: item set larger than kMaxQueryItems");
+  }
   std::vector<core::VertexId> items;
   if (!request.names.empty()) {
-    items.reserve(request.names.size());
+    items.reserve(num_items);
     for (const std::string& name : request.names) {
       auto v = model.FindVertex(name);
       if (!v.has_value()) {
@@ -88,13 +98,6 @@ StatusOr<QueryResponse> Engine::Process(const Model& model,
     }
   } else {
     items = request.items;
-  }
-  if (items.empty()) {
-    return Status::InvalidArgument("query: empty item set");
-  }
-  if (items.size() > kMaxQueryItems) {
-    return Status::InvalidArgument(
-        "query: item set larger than kMaxQueryItems");
   }
   // A NaN threshold compares false against every ACV, so it would fire
   // every rule.

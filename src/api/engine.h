@@ -18,11 +18,11 @@
 
 namespace hypermine::api {
 
-/// Largest item set a single query may name. TopKWithin looks up every
-/// tail subset of size 1..3, so its lookups grow as C(n, 3) and its merge
-/// heap holds one slice per subset that has rules; the cap bounds one
-/// query to 43,744 group lookups and keeps a hostile request from pinning
-/// a serving worker.
+/// Largest item set a single query may name. TopKWithin scans the items'
+/// owned tail-set ranges, so it reads at most the tail-set groups the
+/// items own, and its merge heap holds one slice per group whose whole
+/// tail is among the items; the cap bounds both and keeps a hostile
+/// request from pinning a serving worker.
 inline constexpr size_t kMaxQueryItems = 64;
 
 /// One association query: "given these items, what follows?". Items may be

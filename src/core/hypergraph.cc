@@ -7,6 +7,23 @@
 #include "util/string_util.h"
 
 namespace hypermine::core {
+namespace {
+
+/// Hash of an exact-edge key, four 32-bit vertex ids packed into 128
+/// bits: a splitmix64-style mix of each half, combined with an odd
+/// multiplier — cheap, and spreads the low-entropy packed ids across the
+/// whole hash range, which linear probing needs to keep its runs short.
+size_t HashIdKey(uint64_t hi, uint64_t lo) {
+  auto mix = [](uint64_t x) {
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  };
+  return static_cast<size_t>(mix(hi) * 0x9ddfea08eb382d69ull + mix(lo));
+}
+
+}  // namespace
 
 DirectedHypergraph::DirectedHypergraph(std::vector<std::string> names)
     : names_(std::move(names)),

@@ -27,21 +27,6 @@ inline constexpr size_t kMaxTailSize = 3;
 /// the 10⁵–10⁶-vertex regime of mined hypergraphs fits with room to spare.
 inline constexpr size_t kMaxVertices = 0xFFFFFFFE;
 
-/// Hash of a 128-bit key packed from 32-bit vertex ids (the exact-edge
-/// table's (T, H) keys and serve::RuleIndex's tail-set keys): a
-/// splitmix64-style mix of each half, combined with an odd multiplier —
-/// cheap, and spreads the low-entropy packed ids across the whole hash
-/// range, which linear probing needs to keep its runs short.
-inline size_t HashIdKey(uint64_t hi, uint64_t lo) {
-  auto mix = [](uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  };
-  return static_cast<size_t>(mix(hi) * 0x9ddfea08eb382d69ull + mix(lo));
-}
-
 /// A directed hyperedge (T, H) with 1 <= |T| <= 3 and |H| = 1. `tail` is
 /// sorted ascending with kNoVertex padding. `weight` carries ACV(T, H).
 struct Hyperedge {

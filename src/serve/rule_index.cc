@@ -5,90 +5,90 @@
 
 namespace hypermine::serve {
 
-RuleIndex::Key RuleIndex::TailKey(std::span<const core::VertexId> tail) {
-  if (tail.empty() || tail.size() > core::kMaxTailSize) {
-    return kInvalidTailKey;
-  }
-  core::VertexId sorted[core::kMaxTailSize] = {core::kNoVertex,
-                                               core::kNoVertex,
-                                               core::kNoVertex};
-  for (size_t i = 0; i < tail.size(); ++i) {
-    if (tail[i] >= core::kMaxVertices) return kInvalidTailKey;
-    sorted[i] = tail[i];
-  }
-  std::sort(sorted, sorted + tail.size());
-  if (tail.size() > 1 &&
-      std::adjacent_find(sorted, sorted + tail.size()) !=
-          sorted + tail.size()) {
-    return kInvalidTailKey;
-  }
-  // Three full-width 32-bit fields, same packing as
-  // DirectedHypergraph::EdgeKey minus the head; kNoVertex pads the unused
-  // slots and the low 32 bits of `lo` stay clear, which is what keeps
-  // kInvalidTailKey out of reach.
-  Key key;
-  key.hi = (static_cast<uint64_t>(sorted[0]) << 32) |
-           static_cast<uint64_t>(sorted[1]);
-  key.lo = static_cast<uint64_t>(sorted[2]) << 32;
-  return key;
-}
-
 RuleIndex RuleIndex::Build(const core::DirectedHypergraph& graph) {
   RuleIndex index;
-  index.num_vertices_ = graph.num_vertices();
-  index.tail_groups_.resize(graph.num_vertices());
+  const size_t n = graph.num_vertices();
+  const auto pad = static_cast<core::VertexId>(n);
+  index.num_vertices_ = n;
+  index.tail_groups_.resize(n);
+  index.owner_begin_.resize(n + 1);
 
-  // Bucket edge ids by tail key; within a group order by ACV desc (ties:
-  // smaller head id first, for deterministic serving).
+  // Bucket the edges by smallest tail vertex in one counting pass, as
+  // records that carry everything the sort and the index read.
+  struct Record {
+    std::array<core::VertexId, core::kMaxTailSize - 1> rest;  // tail[1..]
+    double acv;
+    core::VertexId head;
+    core::EdgeId edge;
+  };
   const std::vector<core::Hyperedge>& edges = graph.edges();
-  std::vector<std::pair<Key, core::EdgeId>> keyed;
-  keyed.reserve(edges.size());
+  std::vector<size_t> bucket_begin(n + 1, 0);
+  for (const core::Hyperedge& e : edges) ++bucket_begin[e.tail[0] + 1];
+  for (size_t v = 0; v < n; ++v) bucket_begin[v + 1] += bucket_begin[v];
+  std::vector<size_t> bucket_fill(bucket_begin.begin(), bucket_begin.end());
+  auto padded = [pad](core::VertexId t) {
+    return t == core::kNoVertex ? pad : t;
+  };
+  std::vector<Record> records(edges.size());
   for (core::EdgeId id = 0; id < edges.size(); ++id) {
-    keyed.emplace_back(TailKey(edges[id].TailSpan()), id);
+    const core::Hyperedge& e = edges[id];
+    records[bucket_fill[e.tail[0]]++] = {
+        {padded(e.tail[1]), padded(e.tail[2])}, e.weight, e.head, id};
   }
-  std::sort(keyed.begin(), keyed.end(),
-            [&edges](const auto& a, const auto& b) {
-              if (a.first != b.first) {
-                return std::tie(a.first.hi, a.first.lo) <
-                       std::tie(b.first.hi, b.first.lo);
-              }
-              const core::Hyperedge& ea = edges[a.second];
-              const core::Hyperedge& eb = edges[b.second];
-              if (ea.weight != eb.weight) return ea.weight > eb.weight;
-              return ea.head < eb.head;
-            });
-  index.entries_.reserve(edges.size());
-  for (size_t i = 0; i < keyed.size();) {
-    const Key key = keyed[i].first;
-    const auto group = static_cast<uint32_t>(index.group_begin_.size());
-    const core::Hyperedge& first = edges[keyed[i].second];
-    index.groups_.emplace(key, group);
-    index.group_begin_.push_back(static_cast<uint32_t>(index.entries_.size()));
-    index.group_tail_size_.push_back(static_cast<uint8_t>(first.tail_size()));
-    for (core::VertexId v : first.TailSpan()) {
-      index.tail_groups_[v].push_back(group);
-    }
-    for (; i < keyed.size() && keyed[i].first == key; ++i) {
-      const core::Hyperedge& e = edges[keyed[i].second];
-      index.entries_.push_back({e.weight, e.head, keyed[i].second});
+
+  // Within a bucket, order by the rest of the tail, then ACV desc (ties:
+  // smaller head first, for deterministic serving). A tail's heads are
+  // distinct, so this is a total order.
+  index.entries_.reserve(records.size());
+  for (core::VertexId v = 0; v < n; ++v) {
+    const auto first = records.begin() + bucket_begin[v];
+    const auto last = records.begin() + bucket_begin[v + 1];
+    std::sort(first, last, [](const Record& a, const Record& b) {
+      return std::tie(a.rest, b.acv, a.head) < std::tie(b.rest, a.acv, b.head);
+    });
+    index.owner_begin_[v] = static_cast<uint32_t>(index.group_tail_.size());
+    for (auto r = first; r != last; ++r) {
+      if (r == first || r->rest != r[-1].rest) {
+        const auto group = static_cast<uint32_t>(index.group_tail_.size());
+        const Tail tail = {v, r->rest[0], r->rest[1]};
+        index.group_tail_.push_back(tail);
+        index.group_begin_.push_back(
+            static_cast<uint32_t>(index.entries_.size()));
+        uint8_t size = 0;
+        for (core::VertexId t : tail) {
+          if (t == pad) continue;
+          index.tail_groups_[t].push_back(group);
+          ++size;
+        }
+        index.group_tail_size_.push_back(size);
+      }
+      index.entries_.push_back({r->acv, r->head, r->edge});
     }
   }
+  index.owner_begin_[n] = static_cast<uint32_t>(index.group_tail_.size());
   index.group_begin_.push_back(static_cast<uint32_t>(index.entries_.size()));
   return index;
 }
 
-std::span<const RuleIndex::Entry> RuleIndex::Consequents(
-    std::span<const core::VertexId> tail) const {
-  auto it = groups_.find(TailKey(tail));
-  if (it == groups_.end()) return {};
-  return GroupEntries(it->second);
-}
-
 std::vector<RankedConsequent> RuleIndex::TopK(
     std::span<const core::VertexId> tail, size_t k) const {
-  std::span<const Entry> group = Consequents(tail);
-  group = group.first(std::min(k, group.size()));
   std::vector<RankedConsequent> out;
+  if (tail.empty() || tail.size() > core::kMaxTailSize) return out;
+  const auto pad = static_cast<core::VertexId>(num_vertices_);
+  Tail key = {pad, pad, pad};
+  for (size_t i = 0; i < tail.size(); ++i) {
+    if (tail[i] >= num_vertices_) return out;
+    key[i] = tail[i];
+  }
+  // A repeated vertex leaves two equal slots, which no stored tail has.
+  std::sort(key.begin(), key.end());
+  const auto first = group_tail_.begin() + owner_begin_[key[0]];
+  const auto last = group_tail_.begin() + owner_begin_[key[0] + 1];
+  const auto found = std::lower_bound(first, last, key);
+  if (found == last || *found != key) return out;
+  std::span<const Entry> group =
+      GroupEntries(static_cast<uint32_t>(found - group_tail_.begin()));
+  group = group.first(std::min(k, group.size()));
   out.reserve(group.size());
   for (const Entry& entry : group) out.push_back(entry.Ranked());
   return out;
@@ -99,38 +99,47 @@ std::vector<RankedConsequent> RuleIndex::TopKWithin(
   std::vector<RankedConsequent> out;
   if (k == 0 || items.empty()) return out;
 
-  // Deduplicated, in-range item set.
-  std::vector<core::VertexId> set(items.begin(), items.end());
-  std::sort(set.begin(), set.end());
-  set.erase(std::unique(set.begin(), set.end()), set.end());
-  while (!set.empty() && set.back() >= num_vertices_) set.pop_back();
+  // One bit per vertex, plus one that stands for an empty tail slot,
+  // which every item set covers. The scan reads the bits as the item set;
+  // the merge then reuses them for the heads it has emitted, so a query's
+  // scratch stays one bit per vertex.
+  std::vector<bool> marked(num_vertices_ + 1, false);
+  marked[num_vertices_] = true;
+  std::vector<core::VertexId> owners;
+  core::VertexId largest = 0;
+  for (core::VertexId v : items) {
+    if (v >= num_vertices_ || marked[v]) continue;
+    marked[v] = true;
+    owners.push_back(v);
+    largest = std::max(largest, v);
+  }
 
-  // One cursor per non-empty group of a tail subset of size 1..3.
+  // One cursor per group whose whole tail is among the items. Such a
+  // group is owned by an item, and its second tail vertex is an item too,
+  // or empty for the singleton that ends the owner's range.
   struct Cursor {
     const Entry* next;
     const Entry* end;
   };
   std::vector<Cursor> heap;
   size_t entries = 0;
-  auto consider = [this, &heap, &entries](
-                      std::span<const core::VertexId> tail) {
-    std::span<const Entry> group = Consequents(tail);
-    if (group.empty()) return;
-    heap.push_back({group.data(), group.data() + group.size()});
-    entries += group.size();
+  auto consider = [this, &marked, &heap, &entries](uint32_t group) {
+    const Tail& tail = group_tail_[group];
+    if (!marked[tail[1]] || !marked[tail[2]]) return;
+    std::span<const Entry> slice = GroupEntries(group);
+    heap.push_back({slice.data(), slice.data() + slice.size()});
+    entries += slice.size();
   };
-  const size_t n = set.size();
-  for (size_t a = 0; a < n; ++a) {
-    consider({&set[a], 1});
-    for (size_t b = a + 1; b < n; ++b) {
-      core::VertexId pair[2] = {set[a], set[b]};
-      consider(pair);
-      for (size_t c = b + 1; c < n; ++c) {
-        core::VertexId triple[3] = {set[a], set[b], set[c]};
-        consider(triple);
-      }
+  for (core::VertexId v : owners) {
+    uint32_t group = owner_begin_[v];
+    const uint32_t end = owner_begin_[v + 1];
+    for (; group < end && group_tail_[group][1] <= largest; ++group) {
+      consider(group);
     }
+    if (group < end) consider(end - 1);
   }
+  for (core::VertexId v : owners) marked[v] = false;
+  std::vector<bool>& emitted = marked;
 
   // Best-first merge: the heap's top is the best unread entry, by (ACV
   // desc, head asc, edge id asc). Each group is sorted by (ACV desc, head
@@ -145,7 +154,6 @@ std::vector<RankedConsequent> RuleIndex::TopKWithin(
     return a.edge > b.edge;
   };
   std::make_heap(heap.begin(), heap.end(), worse);
-  std::vector<bool> emitted(num_vertices_, false);
   out.reserve(std::min({k, entries, num_vertices_}));
   while (!heap.empty() && out.size() < k) {
     std::pop_heap(heap.begin(), heap.end(), worse);

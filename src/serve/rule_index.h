@@ -1,9 +1,9 @@
 #ifndef HYPERMINE_SERVE_RULE_INDEX_H_
 #define HYPERMINE_SERVE_RULE_INDEX_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/hypergraph.h"
@@ -22,22 +22,26 @@ struct RankedConsequent {
 };
 
 /// Read-optimized index over a built association hypergraph. It stores
-/// one 16-byte record per hyperedge (ACV, head, edge id), grouped by
-/// canonicalized tail set with each group's consequents pre-sorted by
-/// descending ACV (ties: smaller head first); a hash map from tail set to
-/// group; and, per vertex, the groups whose tail contains it. No query
-/// sorts: TopK copies a prefix of one group, TopKWithin merges the
-/// groups of the item set's tail subsets best first, and a closure keeps
-/// one counter per tail set, not per hyperedge. The index copies what it
-/// needs and does not retain a reference to the source graph.
+/// one 16-byte record per hyperedge (ACV, head, edge id), grouped by tail
+/// set with each group's consequents pre-sorted by descending ACV (ties:
+/// smaller head first). The groups are numbered in tail order, so the
+/// groups whose smallest tail vertex is v (the groups v owns) form one
+/// range, and v's singleton tail, when it has rules, is that range's last
+/// group. No query sorts or hashes: TopK binary-searches one owner range,
+/// TopKWithin scans the items' owner ranges and merges the groups whose
+/// whole tail is among the items best first, and a closure keeps one
+/// counter per tail set, not per hyperedge. The index copies what it needs
+/// and does not retain a reference to the source graph.
 class RuleIndex {
  public:
-  /// Builds the index in O(E log E).
+  /// Builds the index in O(E log E): one counting pass buckets the edges
+  /// by smallest tail vertex, then each bucket is sorted on its own.
   static RuleIndex Build(const core::DirectedHypergraph& graph);
 
   /// Consequents of the *exact* tail set (order-insensitive), best ACV
   /// first, at most k entries. Unknown or invalid tails yield an empty
   /// result — absence of rules is not an error on the serving path.
+  /// Costs a binary search over the groups the tail's smallest vertex owns.
   std::vector<RankedConsequent> TopK(std::span<const core::VertexId> tail,
                                      size_t k) const;
 
@@ -47,10 +51,11 @@ class RuleIndex {
   /// most k heads. A head reachable through several tails is reported
   /// once with its best ACV; when several edges give it that ACV, the
   /// witness is the one with the smallest edge id.
-  /// Costs one group lookup per tail subset of size 1..3, then one heap
-  /// pop per entry read until k distinct heads are out (a best-first
-  /// merge of the groups' ACV-sorted slices), plus one bit of scratch
-  /// per vertex; no per-query map.
+  /// Scans the items' owned tail-set ranges: for each item, the groups it
+  /// owns whose second tail vertex is at most the largest item, then its
+  /// singleton. Then one heap pop per entry read until k distinct heads
+  /// are out (a best-first merge of the fired groups' ACV-sorted slices).
+  /// Scratch is one bit per vertex; no per-query map.
   std::vector<RankedConsequent> TopKWithin(
       std::span<const core::VertexId> items, size_t k) const;
 
@@ -66,30 +71,9 @@ class RuleIndex {
   std::vector<core::VertexId> Reachable(std::span<const core::VertexId> seeds,
                                         double min_acv) const;
 
-  size_t num_tail_sets() const { return groups_.size(); }
+  size_t num_tail_sets() const { return group_tail_.size(); }
   size_t num_entries() const { return entries_.size(); }
   size_t num_vertices() const { return num_vertices_; }
-
-  /// Canonical key of a tail set: three full-width 32-bit ids (sorted,
-  /// kNoVertex-padded) packed into 128 bits, so no two distinct tails can
-  /// collide — same scheme as DirectedHypergraph's edge index key.
-  struct Key {
-    uint64_t hi = 0;
-    uint64_t lo = 0;
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHasher {
-    size_t operator()(const Key& key) const noexcept {
-      return core::HashIdKey(key.hi, key.lo);
-    }
-  };
-
-  /// Canonical key of a tail set; kInvalidTailKey for tails that no
-  /// hyperedge can have (empty, too large, out of range, duplicates).
-  static Key TailKey(std::span<const core::VertexId> tail);
-  /// Unreachable by real tails: the low half of a real key always has its
-  /// bottom 32 bits clear (no head field), never all-ones.
-  static constexpr Key kInvalidTailKey{~0ull, ~0ull};
 
  private:
   /// One stored consequent. RankedConsequent's field order pads it to 24
@@ -109,18 +93,24 @@ class RuleIndex {
     return {entries_.data() + group_begin_[group],
             entries_.data() + group_begin_[group + 1]};
   }
-  /// Consequents of the exact tail set; empty when no rule has that tail.
-  std::span<const Entry> Consequents(
-      std::span<const core::VertexId> tail) const;
+
+  /// A tail set, sorted ascending. An empty slot holds num_vertices_: it
+  /// sorts after every vertex, so tail order puts a vertex's singleton
+  /// after its pairs and triples, and scratch indexed by vertex keeps one
+  /// extra bit for it.
+  using Tail = std::array<core::VertexId, core::kMaxTailSize>;
 
   size_t num_vertices_ = 0;
-  /// Consequents, grouped by tail key, each group sorted by ACV desc
-  /// (ties: smaller head first).
-  std::vector<Entry> entries_;
-  /// Tail key -> group id; group g owns
+  /// Consequents, grouped by tail set in tail order, each group sorted by
+  /// ACV desc (ties: smaller head first); group g's are
   /// entries_[group_begin_[g], group_begin_[g + 1]).
-  std::unordered_map<Key, uint32_t, KeyHasher> groups_;
+  std::vector<Entry> entries_;
   std::vector<uint32_t> group_begin_;
+  /// Per group, its tail set, ascending.
+  std::vector<Tail> group_tail_;
+  /// Vertex v owns groups [owner_begin_[v], owner_begin_[v + 1]): those
+  /// whose smallest tail vertex is v.
+  std::vector<uint32_t> owner_begin_;
   /// Per group, its tail size: the starting value of Reachable()'s
   /// "tail vertices still missing" counters.
   std::vector<uint8_t> group_tail_size_;

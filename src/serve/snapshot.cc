@@ -66,6 +66,33 @@ Status Corrupt(const std::string& what) {
   return Status::Corrupted("snapshot: " + what);
 }
 
+/// Reads edge record `i` of either width, tail[3] and head as `Id`s and
+/// then the weight, into `graph`. Tail slots holding `empty` are unused.
+template <typename Id>
+Status ReadEdgeRecord(WireReader* reader, Id empty, uint64_t i,
+                      core::DirectedHypergraph* graph) {
+  Id ids[core::kMaxTailSize + 1];
+  double weight = 0.0;
+  bool ok = true;
+  for (Id& id : ids) ok = ok && reader->ReadPod(&id);
+  if (!ok || !reader->ReadPod(&weight)) {
+    return Corrupt(StrFormat("truncated edge record %llu",
+                             static_cast<unsigned long long>(i)));
+  }
+  std::vector<core::VertexId> tail;
+  for (size_t t = 0; t < core::kMaxTailSize; ++t) {
+    if (ids[t] != empty) tail.push_back(ids[t]);
+  }
+  auto added = graph->AddEdge(std::move(tail), ids[core::kMaxTailSize],
+                              weight);
+  if (!added.ok()) {
+    return Corrupt(StrFormat("invalid edge record %llu: %s",
+                             static_cast<unsigned long long>(i),
+                             added.status().message().c_str()));
+  }
+  return Status::OK();
+}
+
 /// Chaos-only damage to freshly read snapshot bytes, before parsing:
 /// "snapshot.truncate" drops the second half, "snapshot.corrupt" flips a
 /// bit mid-body. Both must surface as kCorrupted from the deserializer
@@ -257,43 +284,9 @@ StatusOr<LoadedSnapshot> DeserializeSnapshotFull(std::string_view data) {
   graph.ReserveEdges(num_edges);
 
   for (uint64_t i = 0; i < num_edges; ++i) {
-    std::vector<core::VertexId> tail;
-    core::VertexId head = core::kNoVertex;
-    double weight = 0.0;
-    bool ok = true;
-    if (wide) {
-      uint32_t tail32[core::kMaxTailSize];
-      for (uint32_t& t : tail32) ok = ok && reader.ReadPod(&t);
-      uint32_t head32 = 0;
-      ok = ok && reader.ReadPod(&head32) && reader.ReadPod(&weight);
-      if (ok) {
-        for (uint32_t t : tail32) {
-          if (t != core::kNoVertex) tail.push_back(t);
-        }
-        head = head32;
-      }
-    } else {
-      uint16_t tail16[core::kMaxTailSize];
-      for (uint16_t& t : tail16) ok = ok && reader.ReadPod(&t);
-      uint16_t head16 = 0;
-      ok = ok && reader.ReadPod(&head16) && reader.ReadPod(&weight);
-      if (ok) {
-        for (uint16_t t : tail16) {
-          if (t != kNoVertex16) tail.push_back(t);
-        }
-        head = head16;
-      }
-    }
-    if (!ok) {
-      return Corrupt(StrFormat("truncated edge record %llu",
-                               static_cast<unsigned long long>(i)));
-    }
-    auto added = graph.AddEdge(std::move(tail), head, weight);
-    if (!added.ok()) {
-      return Corrupt(StrFormat("invalid edge record %llu: %s",
-                               static_cast<unsigned long long>(i),
-                               added.status().message().c_str()));
-    }
+    HM_RETURN_IF_ERROR(
+        wide ? ReadEdgeRecord(&reader, core::kNoVertex, i, &graph)
+             : ReadEdgeRecord(&reader, kNoVertex16, i, &graph));
   }
 
   LoadedSnapshot loaded{std::move(graph), api::ModelSpec{}, false};

@@ -88,16 +88,24 @@ TEST(ApiEngineTest, PerQueryStatusDoesNotFailTheBatch) {
     at_cap.items.push_back(v % 10);              // exactly the cap: fine
   }
   requests.push_back(at_cap);
+  QueryRequest oversized_names;  // too large, even with an unknown name
+  for (size_t i = 0; i < kMaxQueryItems; ++i) {
+    oversized_names.names.push_back("v" + std::to_string(i % 10));
+  }
+  oversized_names.names.push_back("no-such-vertex");
+  requests.push_back(oversized_names);
 
   std::vector<StatusOr<QueryResponse>> responses =
       engine.QueryBatch(requests);
-  ASSERT_EQ(responses.size(), 6u);
+  ASSERT_EQ(responses.size(), 7u);
   EXPECT_TRUE(responses[0].ok());
   EXPECT_EQ(responses[1].status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(responses[2].status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(responses[3].status().code(), StatusCode::kNotFound);
   EXPECT_EQ(responses[4].status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(responses[5].ok()) << responses[5].status().ToString();
+  EXPECT_EQ(responses[6].status().code(), StatusCode::kInvalidArgument)
+      << responses[6].status().ToString();
 }
 
 TEST(ApiEngineTest, NamesResolveAgainstTheLiveModel) {

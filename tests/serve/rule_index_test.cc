@@ -62,7 +62,33 @@ TEST(RuleIndexTest, TopKUnknownOrInvalidTailIsEmpty) {
   EXPECT_TRUE(index.TopK(out_of_range, 5).empty());
   VertexId duplicate[] = {0, 0};
   EXPECT_TRUE(index.TopK(duplicate, 5).empty());
+  VertexId repeated_rest[] = {1, 1};
+  EXPECT_TRUE(index.TopK(repeated_rest, 5).empty());
   EXPECT_TRUE(index.TopK({}, 5).empty());
+  VertexId too_long[] = {0, 1, 2, 3};
+  EXPECT_TRUE(index.TopK(too_long, 5).empty());
+  VertexId past_the_cap[] = {static_cast<VertexId>(core::kMaxVertices)};
+  EXPECT_TRUE(index.TopK(past_the_cap, 5).empty());
+  VertexId sentinel[] = {core::kNoVertex};
+  EXPECT_TRUE(index.TopK(sentinel, 5).empty());
+}
+
+TEST(RuleIndexTest, TopKKeepsFullWidthIds) {
+  // Ids congruent mod 2^16 must not alias, and 0xFFFF is an ordinary id.
+  auto graph = core::DirectedHypergraph::CreateAnonymous(0x10002);
+  HM_CHECK_OK(graph.status());
+  HM_CHECK_OK(graph->AddEdge({0}, 1, 0.5).status());
+  HM_CHECK_OK(graph->AddEdge({0x10000}, 2, 0.6).status());
+  HM_CHECK_OK(graph->AddEdge({0xFFFF}, 3, 0.7).status());
+  RuleIndex index = RuleIndex::Build(*graph);
+  VertexId low[] = {0};
+  VertexId wide[] = {0x10000};
+  VertexId formerly_big[] = {0xFFFF};
+  EXPECT_EQ(index.TopK(low, 5), (std::vector<RankedConsequent>{{1, 0.5, 0}}));
+  EXPECT_EQ(index.TopK(wide, 5),
+            (std::vector<RankedConsequent>{{2, 0.6, 1}}));
+  EXPECT_EQ(index.TopK(formerly_big, 5),
+            (std::vector<RankedConsequent>{{3, 0.7, 2}}));
 }
 
 TEST(RuleIndexTest, TopKWithinUnionsSubsetsAndDedupesHeads) {
@@ -135,6 +161,39 @@ TEST(RuleIndexTest, TopKWithinTieWitnessIsTheSmallestEdgeId) {
             (std::vector<RankedConsequent>{{3, 0.75, 0}, {4, 0.50, 5}}));
 }
 
+/// 0:A 1:B 2:C 3:D 4:E 5:F. A owns pairs and a triple but no singleton, so
+/// A's owner range ends with the pair {A, C}, not a singleton.
+core::DirectedHypergraph OwnerGraph() {
+  auto graph =
+      core::DirectedHypergraph::Create({"A", "B", "C", "D", "E", "F"});
+  HM_CHECK_OK(graph.status());
+  HM_CHECK_OK(graph->AddEdge({0, 1}, 4, 0.6).status());     // 0: A,B -> E
+  HM_CHECK_OK(graph->AddEdge({0, 2}, 5, 0.7).status());     // 1: A,C -> F
+  HM_CHECK_OK(graph->AddEdge({0, 1, 3}, 5, 0.9).status());  // 2: A,B,D -> F
+  HM_CHECK_OK(graph->AddEdge({1}, 2, 0.4).status());        // 3: B -> C
+  return std::move(graph).value();
+}
+
+TEST(RuleIndexTest, TopKWithinFiresOnlyGroupsInsideTheItems) {
+  RuleIndex index = RuleIndex::Build(OwnerGraph());
+  // A owns no singleton: its range's last group, {A, C}, needs C too.
+  VertexId a[] = {0};
+  EXPECT_TRUE(index.TopKWithin(a, 10).empty());
+  // {A, B} fires the pair {A, B}, which the scan reaches at the largest
+  // item, and B's singleton. The triple {A, B, D} needs D, above the
+  // largest item, and {A, C} needs C.
+  VertexId ab[] = {0, 1};
+  EXPECT_EQ(index.TopKWithin(ab, 10),
+            (std::vector<RankedConsequent>{{4, 0.6, 0}, {2, 0.4, 3}}));
+  VertexId abd[] = {3, 1, 0};
+  EXPECT_EQ(index.TopKWithin(abd, 10),
+            (std::vector<RankedConsequent>{
+                {5, 0.9, 2}, {4, 0.6, 0}, {2, 0.4, 3}}));
+  // Items past the last vertex own nothing.
+  VertexId out_of_range[] = {6, 4242, core::kNoVertex};
+  EXPECT_TRUE(index.TopKWithin(out_of_range, 10).empty());
+}
+
 TEST(RuleIndexTest, ReachableFollowsPairTails) {
   RuleIndex index = RuleIndex::Build(TestGraph());
   // From {A}: A->D (0.5), A->E (0.3); (A,B)->* never fires without B.
@@ -164,27 +223,6 @@ TEST(RuleIndexTest, ReachableIgnoresBadSeeds) {
   VertexId seeds[] = {2, 2, 7777};
   EXPECT_EQ(index.Reachable(seeds, 0.0), (std::vector<VertexId>{2, 4}));
   EXPECT_TRUE(index.Reachable({}, 0.0).empty());
-}
-
-TEST(RuleIndexTest, TailKeyCanonicalization) {
-  VertexId ab[] = {0, 1};
-  VertexId ba[] = {1, 0};
-  EXPECT_EQ(RuleIndex::TailKey(ab), RuleIndex::TailKey(ba));
-  VertexId a[] = {0};
-  EXPECT_NE(RuleIndex::TailKey(a), RuleIndex::TailKey(ab));
-  VertexId dup[] = {1, 1};
-  EXPECT_EQ(RuleIndex::TailKey(dup), RuleIndex::kInvalidTailKey);
-  EXPECT_EQ(RuleIndex::TailKey({}), RuleIndex::kInvalidTailKey);
-  // 0xFFFF is a legal id since the 32-bit widening; only ids at or past
-  // kMaxVertices are rejected.
-  VertexId formerly_big[] = {0xFFFF};
-  EXPECT_NE(RuleIndex::TailKey(formerly_big), RuleIndex::kInvalidTailKey);
-  VertexId big[] = {core::kMaxVertices};
-  EXPECT_EQ(RuleIndex::TailKey(big), RuleIndex::kInvalidTailKey);
-  // Full-width keys: ids congruent mod 2^16 no longer alias.
-  VertexId low[] = {0};
-  VertexId wide[] = {0x10000};
-  EXPECT_NE(RuleIndex::TailKey(low), RuleIndex::TailKey(wide));
 }
 
 TEST(RuleIndexTest, EmptyGraphServesNothing) {
