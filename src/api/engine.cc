@@ -154,8 +154,9 @@ StatusOr<QueryResponse> Engine::Process(const Model& model,
 std::vector<StatusOr<QueryResponse>> Engine::QueryBatch(
     const std::vector<QueryRequest>& requests,
     std::shared_ptr<const Model>* model_out) {
-  // Chaos-only stall: lets tests hold a worker inside a batch long enough
-  // to pile up queue wait and trip the server's load shedder.
+  // Chaos-only stall: lets tests hold the calling thread (a server's
+  // reactor) inside a batch long enough to pile up queue wait and trip the
+  // server's load shedder.
   fault::MaybeDelay("engine.batch");
   // One model acquisition per batch: every answer in the batch comes from
   // the same model, and a concurrent Swap cannot tear the batch.

@@ -22,7 +22,7 @@ namespace hypermine::api {
 /// owned tail-set ranges, so it reads at most the tail-set groups the
 /// items own, and its merge heap holds one slice per group whose whole
 /// tail is among the items; the cap bounds both and keeps a hostile
-/// request from pinning a serving worker.
+/// request from pinning a serving reactor.
 inline constexpr size_t kMaxQueryItems = 64;
 
 /// One association query: "given these items, what follows?". Items may be

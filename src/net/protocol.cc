@@ -131,6 +131,14 @@ Status DecodeQueryBody(std::string_view body, api::QueryRequest* request) {
   request->k = k;
   request->items.clear();
   request->names.clear();
+  // Each name takes at least its length prefix. A count the rest of the
+  // body cannot hold is corrupt, checked before the reserve so a 15-byte
+  // frame cannot ask for 65,535 strings.
+  if (num_names > reader.remaining() / sizeof(uint16_t)) {
+    return Status::Corrupted(
+        StrFormat("name count %u exceeds the %zu-byte query body",
+                  unsigned{num_names}, body.size()));
+  }
   request->names.reserve(num_names);
   for (uint16_t i = 0; i < num_names; ++i) {
     std::string name;

@@ -12,6 +12,7 @@
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace hypermine::net {
 namespace {
@@ -34,7 +35,8 @@ constexpr uint64_t kStallTimerTag = 4;
 constexpr size_t kMaxAdminConnections = 64;
 
 /// Sanity ceiling on reactor threads: a typo (--reactors=10000) should
-/// fail loudly, not spawn ten thousand event loops.
+/// fail loudly, not spawn ten thousand event loops. The default of one
+/// reactor per hardware thread is clamped to it instead.
 constexpr size_t kMaxReactors = 128;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
@@ -109,7 +111,7 @@ StatusOr<std::unique_ptr<Server>> Server::Start(api::Engine* engine,
   }
   const size_t reactor_count =
       options.num_reactors == 0
-          ? std::max<size_t>(1, ThreadPool::HardwareThreads())
+          ? std::min(ThreadPool::HardwareThreads(), kMaxReactors)
           : options.num_reactors;
   if (reactor_count > kMaxReactors) {
     return Status::InvalidArgument(
@@ -118,24 +120,16 @@ StatusOr<std::unique_ptr<Server>> Server::Start(api::Engine* engine,
                   reactor_count, kMaxReactors));
   }
 
-  // One listener per reactor. Several reactors bind SO_REUSEPORT
-  // listeners on one port and the kernel spreads accepts across them; the
-  // first bind resolves the port (options.port may be 0) and the others
-  // share it. One reactor binds a plain listener.
-  const bool reuse_port = reactor_count > 1;
-  uint16_t port = options.port;
+  // One listener, on reactor 0, which deals the query connections out
+  // round-robin (AcceptPending): the kernel's SO_REUSEPORT hash can put
+  // two busy clients on one loop while another sits idle.
+  HM_ASSIGN_OR_RETURN(Listener listener, Listener::Bind(options.port));
+  HM_RETURN_IF_ERROR(listener.SetNonBlocking(true));
   std::vector<std::unique_ptr<Reactor>> reactors;
   reactors.reserve(reactor_count);
   for (size_t i = 0; i < reactor_count; ++i) {
     HM_ASSIGN_OR_RETURN(EventLoop loop, EventLoop::Create());
     auto reactor = std::make_unique<Reactor>(i, std::move(loop));
-    HM_ASSIGN_OR_RETURN(reactor->listener,
-                        Listener::Bind(port, /*backlog=*/128, reuse_port));
-    port = reactor->listener.port();
-    HM_RETURN_IF_ERROR(reactor->listener.SetNonBlocking(true));
-    HM_RETURN_IF_ERROR(reactor->loop.Add(reactor->listener.fd(),
-                                         kListenerTag, /*read=*/true,
-                                         /*write=*/false));
     // Each reactor reaps and stall-checks its own connections.
     if (options.idle_timeout_ms > 0) {
       reactor->loop.AddTimer(kReapTimerTag,
@@ -147,13 +141,15 @@ StatusOr<std::unique_ptr<Server>> Server::Start(api::Engine* engine,
     }
     reactors.push_back(std::move(reactor));
   }
+  HM_RETURN_IF_ERROR(reactors[0]->loop.Add(listener.fd(), kListenerTag,
+                                           /*read=*/true, /*write=*/false));
   Listener admin_listener;
   if (options.admin_port >= 0) {
     HM_ASSIGN_OR_RETURN(
         admin_listener,
         Listener::Bind(static_cast<uint16_t>(options.admin_port)));
     HM_RETURN_IF_ERROR(admin_listener.SetNonBlocking(true));
-    // The admin plane always lives on reactor 0.
+    // The admin plane lives on reactor 0 too.
     HM_RETURN_IF_ERROR(reactors[0]->loop.Add(admin_listener.fd(),
                                              kAdminListenerTag,
                                              /*read=*/true,
@@ -161,7 +157,7 @@ StatusOr<std::unique_ptr<Server>> Server::Start(api::Engine* engine,
   }
   // Not make_unique: the constructor is private.
   std::unique_ptr<Server> server(
-      new Server(engine, options, std::move(reactors),
+      new Server(engine, options, std::move(reactors), std::move(listener),
                  std::move(admin_listener)));
   for (auto& reactor : server->reactors_) {
     reactor->thread = std::thread(
@@ -172,16 +168,13 @@ StatusOr<std::unique_ptr<Server>> Server::Start(api::Engine* engine,
 
 Server::Server(api::Engine* engine, ServerOptions options,
                std::vector<std::unique_ptr<Reactor>> reactors,
-               Listener admin_listener)
+               Listener listener, Listener admin_listener)
     : engine_(engine),
       options_(options),
+      port_(listener.port()),
       reactors_(std::move(reactors)),
-      admin_listener_(std::move(admin_listener)),
-      pool_(std::make_unique<ThreadPool>(
-          options_.num_threads != 0
-              ? options_.num_threads
-              : std::max<size_t>(4, ThreadPool::HardwareThreads()))) {
-  port_ = reactors_[0]->listener.port();
+      listener_(std::move(listener)),
+      admin_listener_(std::move(admin_listener)) {
 
   if (options_.registry != nullptr) {
     registry_ = options_.registry;
@@ -259,7 +252,7 @@ Server::Server(api::Engine* engine, ServerOptions options,
     r->batches = registry_->GetCounter(
         StrFormat("hypermine_net_reactor_batches_total{reactor=\"%zu\"}",
                   r->index),
-        "Engine batches executed, by the reactor owning the connection.");
+        "Engine batches run, by the reactor owning the connection.");
     r->open = registry_->GetGauge(
         StrFormat("hypermine_net_reactor_open_connections{reactor=\"%zu\"}",
                   r->index),
@@ -267,7 +260,8 @@ Server::Server(api::Engine* engine, ServerOptions options,
   }
   h_queue_wait_ = registry_->GetHistogram(
       "hypermine_net_queue_wait_seconds",
-      "Reactor-to-worker wait per batch: TakeBatch to ExecuteBatch start.");
+      "Wait per batch: its first frame parsed to the batch starting on its "
+      "reactor.");
   h_engine_batch_ = registry_->GetHistogram(
       "hypermine_engine_batch_seconds",
       "Wall time of api::Engine::QueryBatch per admitted batch.");
@@ -275,19 +269,8 @@ Server::Server(api::Engine* engine, ServerOptions options,
       "hypermine_net_write_drain_seconds",
       "Response write-queue lifetime: first byte queued to queue empty.");
   // The collector bridges only values another owner keeps: the engine's
-  // cache and swap counts, the live model, uptime, and the outstanding
-  // batches Stop() waits on under each reactor's completion mutex.
+  // cache and swap counts, the live model and uptime.
   collector_id_ = registry_->AddCollector([this] {
-    for (const auto& r : reactors_) {
-      registry_
-          ->GetGauge(StrFormat("hypermine_net_reactor_outstanding_batches"
-                               "{reactor=\"%zu\"}",
-                               r->index),
-                     "Engine batches in flight for this reactor's "
-                     "connections.")
-          ->Set(static_cast<int64_t>(r->outstanding()));
-    }
-
     const api::CacheStats cache = engine_->cache_stats();
     registry_
         ->GetCounter("hypermine_engine_cache_hits_total",
@@ -358,6 +341,7 @@ void Server::Stop() {
   }
   for (auto& reactor : reactors_) TeardownReactor(*reactor);
   open_query_conns_.store(0);
+  listener_.Close();
   admin_listener_.Close();
 }
 
@@ -367,19 +351,10 @@ void Server::TeardownReactor(Reactor& r) {
   // capability for the analysis (and would abort if the reactor were
   // somehow still bound).
   r.loop.AssertOnLoopThread();
-  // Engine batches already handed to the pool finish (their results are
-  // the clients' property until the sockets actually close); the reactor
-  // is gone, so their completions pile up here instead of being
-  // delivered.
-  std::vector<BatchCompletion> leftovers = r.WaitIdleAndCollect();
-  for (BatchCompletion& done : leftovers) {
-    if (!done.conn->closed) {
-      done.conn->machine.QueueWrite(std::move(done.bytes));
-    }
-  }
   // One best-effort nonblocking flush so a reading client gets the
-  // responses that were finished when Stop hit; a stalled client gets a
-  // close instead of an unbounded wait.
+  // responses that were finished when Stop hit (the reactor finished the
+  // batch it was running before it left its loop); a stalled client gets
+  // a close instead of an unbounded wait.
   for (auto& [id, conn] : r.conns) {
     WriteQueue& out = conn->writes();
     while (out.wants_write()) {
@@ -388,13 +363,12 @@ void Server::TeardownReactor(Reactor& r) {
       if (io.bytes == 0) break;
       out.ConsumeWrite(io.bytes);
     }
-    conn->closed = true;
   }
   const auto owned = static_cast<int64_t>(r.conns.size());
   r.conns.clear();  // closes every descriptor still owned here
   r.open->Add(-owned);
   g_open_->Add(-owned);
-  r.listener.Close();
+  (void)r.TakeHandoffs();  // and the sockets dealt here but never adopted
 }
 
 ServerStats Server::stats() const {
@@ -417,8 +391,7 @@ ServerStats Server::stats() const {
   for (const auto& r : reactors_) {
     s.per_reactor.push_back(ReactorStats{
         r->index, r->accepted->value(), r->reaped->value(),
-        static_cast<size_t>(r->open->value()), r->batches->value(),
-        r->outstanding()});
+        static_cast<size_t>(r->open->value()), r->batches->value()});
   }
   return s;
 }
@@ -447,13 +420,12 @@ void Server::ReactorLoop(Reactor* r) {
                    << " wait failed, shutting down: "
                    << waited.status().ToString();
       stopping_.store(true);
-      r->listener.Shutdown();
       for (auto& [id, conn] : r->conns) conn->socket.Shutdown();
       WakeAllReactors();
       break;
     }
     if (stopping_.load()) break;
-    DrainCompletions(*r);
+    AdoptHandoffs(*r);
     if (draining_.load() && !r->drain_applied) ApplyDrain(*r);
     for (const EventLoop::Event& event : events) {
       if (event.timer) {
@@ -464,8 +436,8 @@ void Server::ReactorLoop(Reactor* r) {
         } else if (event.tag == kAcceptRetryTimerTag) {
           // Descriptor pressure may have passed; listen again.
           r->loop.CancelTimer(kAcceptRetryTimerTag);
-          if (r->listener.valid()) {
-            (void)r->loop.Update(r->listener.fd(), kListenerTag,
+          if (listener_.valid()) {
+            (void)r->loop.Update(listener_.fd(), kListenerTag,
                                  /*read=*/true, /*write=*/false);
             AcceptPending(*r, /*admin=*/false);
           }
@@ -490,15 +462,18 @@ void Server::ReactorLoop(Reactor* r) {
       HandleConnEvent(*r, event);
     }
   }
+  // A stopped server, or one whose reactor died, completes no more
+  // handshakes into the backlog: clients fail fast instead of hanging.
+  if (r->index == 0) listener_.Shutdown();
   // Last act: release the loop, making Stop()'s post-join teardown (which
   // runs on whatever thread called it) legal again.
   r->loop.UnbindThread();
-  // Leave conns and the completion queue for Stop(): it joins this
-  // thread first, so it owns them from here on.
+  // Leave conns and the inbox for Stop(): it joins this thread first, so
+  // it owns them from here on.
 }
 
 void Server::AcceptPending(Reactor& r, bool admin) {
-  Listener& listener = admin ? admin_listener_ : r.listener;
+  Listener& listener = admin ? admin_listener_ : listener_;
   const uint64_t listener_tag = admin ? kAdminListenerTag : kListenerTag;
   const uint64_t retry_tag =
       admin ? kAdminAcceptRetryTimerTag : kAcceptRetryTimerTag;
@@ -526,7 +501,7 @@ void Server::AcceptPending(Reactor& r, bool admin) {
     }
     if (!admin && draining_.load()) {
       // A draining server takes no new work (ApplyDrain also closes the
-      // listeners; this covers the race before it runs). The close reads
+      // listener; this covers the race before it runs). The close reads
       // as a refused connection — clients retry elsewhere.
       HM_LOG_INFO << "connection refused: draining";
       c_rejected_->Increment();
@@ -544,8 +519,30 @@ void Server::AcceptPending(Reactor& r, bool admin) {
         c_rejected_->Increment();
         continue;
       }
+      // Deal query connections round-robin, so two busy clients never
+      // share a loop while another sits idle. The target registers its
+      // share itself, keeping every connection on the loop that serves it.
+      const size_t target = r.next_target;
+      r.next_target = (target + 1) % reactors_.size();
+      if (target != r.index) {
+        reactors_[target]->PushHandoff(std::move(*accepted));
+        continue;
+      }
     }
     RegisterAccepted(r, std::move(*accepted), admin);
+  }
+}
+
+void Server::AdoptHandoffs(Reactor& r) {
+  for (Socket& socket : r.TakeHandoffs()) {
+    if (draining_.load()) {
+      // Dealt here before the drain began: refused like AcceptPending's
+      // own late accepts, and its reservation released.
+      open_query_conns_.fetch_sub(1);
+      c_rejected_->Increment();
+      continue;  // the socket closes as the vector dies
+    }
+    RegisterAccepted(r, std::move(socket), /*admin=*/false);
   }
 }
 
@@ -557,9 +554,8 @@ void Server::RegisterAccepted(Reactor& r, Socket socket, bool admin) {
   Connection::Options machine_options;
   machine_options.max_frame_bytes = options_.max_query_bytes;
   machine_options.write_high_water = options_.write_high_water;
-  auto conn = std::make_shared<ReactorConn>(machine_options);
+  auto conn = std::make_unique<ReactorConn>(machine_options);
   conn->id = r.next_connection_id++;
-  conn->reactor = &r;
   conn->socket = std::move(socket);
   conn->last_activity = std::chrono::steady_clock::now();
   if (admin) {
@@ -576,7 +572,8 @@ void Server::RegisterAccepted(Reactor& r, Socket socket, bool admin) {
     if (!admin) open_query_conns_.fetch_sub(1);
     return;
   }
-  r.conns.emplace(conn->id, conn);
+  const uint64_t id = conn->id;
+  r.conns.emplace(id, std::move(conn));
   r.open->Add(1);
   g_open_->Add(1);
   if (admin) {
@@ -585,7 +582,7 @@ void Server::RegisterAccepted(Reactor& r, Socket socket, bool admin) {
     r.accepted->Increment();
     c_accepted_->Increment();
   }
-  HM_LOG_INFO << (admin ? "admin" : "query") << " connection #" << conn->id
+  HM_LOG_INFO << (admin ? "admin" : "query") << " connection #" << id
               << " accepted on reactor " << r.index << " ("
               << r.conns.size() << " open here)";
 }
@@ -652,10 +649,14 @@ void Server::FlushWrites(Reactor& r, ReactorConn* conn) {
     conn->dead = true;
     return;
   }
+  // Write-drain stage latency: the queue just emptied.
+  if (conn->write_timing) {
+    conn->write_timing = false;
+    h_write_drain_->Observe(SecondsSince(conn->write_start));
+  }
 }
 
 void Server::AfterEvent(Reactor& r, ReactorConn* conn) {
-  if (conn->closed) return;
   if (conn->dead) {
     CloseConn(r, conn);
     return;
@@ -684,10 +685,12 @@ void Server::AfterEvent(Reactor& r, ReactorConn* conn) {
     }
     return;
   }
-  // Write-drain stage latency: the queue just emptied (or never filled).
-  if (conn->write_timing && !conn->machine.wants_write()) {
-    conn->write_timing = false;
-    h_write_drain_->Observe(SecondsSince(conn->write_start));
+  if (conn->machine.pending_frames() > 0) {
+    SubmitBatch(r, conn);
+    if (conn->dead) {
+      CloseConn(r, conn);
+      return;
+    }
   }
   // Stall clock: runs only while the machine sits in the SAME partial
   // frame (see ReactorConn::in_frame).
@@ -699,24 +702,16 @@ void Server::AfterEvent(Reactor& r, ReactorConn* conn) {
     conn->frames_at_stall_start = conn->machine.frames_parsed();
     conn->frame_start = std::chrono::steady_clock::now();
   }
-  // A draining server closes each query connection the moment it has
-  // nothing in flight — answered, flushed, and quiet counts as finished
-  // even though the peer would happily keep the stream open.
-  if (draining_.load() && !conn->batch_in_flight &&
-      conn->machine.pending_frames() == 0 && !conn->machine.wants_write()) {
-    CloseConn(r, conn);
-    return;
-  }
-  if (!conn->batch_in_flight && conn->machine.pending_frames() > 0 &&
-      !stopping_.load()) {
-    SubmitBatch(r, conn);
-  }
+  // Every decoded frame is answered by now (unless Stop cut in); what is
+  // left is the flush. A draining server closes each query connection the
+  // moment it is flushed — answered, flushed, and quiet counts as finished
+  // even though the peer would happily keep the stream open — and a
+  // finished stream closes the same way.
+  const bool flushed = conn->machine.pending_frames() == 0 &&
+                       !conn->machine.wants_write();
   const bool stream_over =
       conn->machine.corrupt() || conn->machine.peer_closed();
-  if (stream_over && !conn->batch_in_flight &&
-      conn->machine.pending_frames() == 0 &&
-      !conn->machine.wants_write()) {
-    // Decoded frames were answered and flushed; nothing more can arrive.
+  if (flushed && (draining_.load() || stream_over)) {
     CloseConn(r, conn);
     return;
   }
@@ -783,20 +778,28 @@ HttpResponse Server::RouteAdmin(const HttpRequest& request) {
 }
 
 void Server::SubmitBatch(Reactor& r, ReactorConn* conn) {
-  std::vector<PendingFrame> frames =
-      conn->machine.TakeBatch(options_.max_batch);
-  conn->batch_in_flight = true;
-  r.BeginBatch();
-  std::shared_ptr<ReactorConn> shared = r.conns.at(conn->id);
-  pool_->Submit(
-      [this, shared = std::move(shared), frames = std::move(frames),
-       submitted = std::chrono::steady_clock::now()]() mutable {
-        ExecuteBatch(std::move(shared), std::move(frames), submitted);
-      });
+  while (conn->machine.pending_frames() > 0 && !conn->dead &&
+         !stopping_.load()) {
+    std::vector<PendingFrame> frames =
+        conn->machine.TakeBatch(options_.max_batch);
+    h_queue_wait_->Observe(SecondsSince(frames.front().arrival));
+    std::string out;
+    BuildResponses(&frames, &conn->served, &out);
+    // Counted before the write, so a client holding its answer already
+    // sees it in stats().
+    c_batches_->Increment();
+    r.batches->Increment();
+    if (frames.size() > 1) c_coalesced_->Increment(frames.size() - 1);
+    if (!conn->write_timing) {
+      conn->write_timing = true;
+      conn->write_start = std::chrono::steady_clock::now();
+    }
+    conn->machine.QueueWrite(std::move(out));
+    FlushWrites(r, conn);
+  }
 }
 
 void Server::CloseConn(Reactor& r, ReactorConn* conn) {
-  conn->closed = true;
   (void)r.loop.Remove(conn->socket.fd());
   if (conn->admin) {
     if (r.admin_conns > 0) --r.admin_conns;
@@ -805,10 +808,7 @@ void Server::CloseConn(Reactor& r, ReactorConn* conn) {
   }
   HM_LOG_INFO << (conn->admin ? "admin" : "query") << " connection #"
               << conn->id << " closed on reactor " << r.index;
-  // The map's shared_ptr may be the last reference (closing the socket
-  // now) or an in-flight batch may briefly outlive it — either way the
-  // completion sees `closed` and discards its bytes.
-  r.conns.erase(conn->id);
+  r.conns.erase(conn->id);  // closes the socket and frees `conn`
   r.open->Add(-1);
   g_open_->Add(-1);
 }
@@ -818,8 +818,7 @@ void Server::ReapIdle(Reactor& r) {
   const auto timeout = std::chrono::milliseconds(options_.idle_timeout_ms);
   std::vector<ReactorConn*> idle;
   for (auto& [id, conn] : r.conns) {
-    if (conn->batch_in_flight || conn->machine.pending_frames() > 0 ||
-        conn->machine.wants_write()) {
+    if (conn->machine.pending_frames() > 0 || conn->machine.wants_write()) {
       continue;  // work in progress is not idleness
     }
     if (now - conn->last_activity >= timeout) idle.push_back(conn.get());
@@ -855,21 +854,21 @@ void Server::CheckStalls(Reactor& r) {
 
 void Server::ApplyDrain(Reactor& r) {
   r.drain_applied = true;
-  // Close this reactor's query listener: the kernel resets every connect
-  // still queued in its accept backlog and refuses new ones, so clients
-  // fail fast and retry elsewhere. Merely muting it would leave queued
-  // connects hanging, since nothing would ever accept or close them. The
-  // admin listener stays live.
-  if (r.listener.valid()) {
-    (void)r.loop.Remove(r.listener.fd());
-    r.listener.Close();
+  // Close the query listener (reactor 0 owns it): the kernel resets every
+  // connect still queued in its accept backlog and refuses new ones, so
+  // clients fail fast and retry elsewhere. Merely muting it would leave
+  // queued connects hanging, since nothing would ever accept or close
+  // them. The admin listener stays live.
+  if (r.index == 0 && listener_.valid()) {
+    (void)r.loop.Remove(listener_.fd());
+    listener_.Close();
   }
-  // Connections with in-flight work close via AfterEvent once answered
-  // and flushed; everything already quiet closes now.
+  // Connections with unflushed answers close via AfterEvent once flushed;
+  // everything already quiet closes now.
   std::vector<ReactorConn*> idle;
   for (auto& [id, conn] : r.conns) {
-    if (conn->admin || conn->batch_in_flight ||
-        conn->machine.pending_frames() > 0 || conn->machine.wants_write()) {
+    if (conn->admin || conn->machine.pending_frames() > 0 ||
+        conn->machine.wants_write()) {
       continue;
     }
     idle.push_back(conn.get());
@@ -878,46 +877,6 @@ void Server::ApplyDrain(Reactor& r) {
   HM_LOG_INFO << "drain applied on reactor " << r.index << ": "
               << idle.size() << " idle query connections closed, "
               << (r.conns.size() - r.admin_conns) << " still finishing";
-}
-
-void Server::DrainCompletions(Reactor& r) {
-  std::vector<BatchCompletion> done = r.TakeCompletions();
-  for (BatchCompletion& completion : done) {
-    ReactorConn* conn = completion.conn.get();
-    if (conn->closed) continue;  // dropped while the batch executed
-    conn->batch_in_flight = false;
-    const bool was_draining = conn->machine.wants_write();
-    conn->machine.QueueWrite(std::move(completion.bytes));
-    if (!was_draining && conn->machine.wants_write() &&
-        !conn->write_timing) {
-      conn->write_timing = true;
-      conn->write_start = std::chrono::steady_clock::now();
-    }
-    FlushWrites(r, conn);
-    AfterEvent(r, conn);
-  }
-}
-
-void Server::ExecuteBatch(std::shared_ptr<ReactorConn> conn,
-                          std::vector<PendingFrame> frames,
-                          std::chrono::steady_clock::time_point submitted) {
-  h_queue_wait_->Observe(SecondsSince(submitted));
-  std::string out;
-  BuildResponses(&frames, &conn->served, &out);
-  // Route the completion back through the connection's own reactor — the
-  // pin set at registration is what keeps every per-connection touch on
-  // one loop. Counted before the push, so a client holding its answer
-  // already sees it in stats().
-  Reactor* home = conn->reactor;
-  c_batches_->Increment();
-  home->batches->Increment();
-  if (frames.size() > 1) c_coalesced_->Increment(frames.size() - 1);
-  home->PushCompletion(BatchCompletion{std::move(conn), std::move(out)});
-  home->loop.Wakeup();
-  // Last: once Stop() observes the outstanding count reach zero it may
-  // tear the reactor down; FinishBatch's decrement-and-notify-under-lock
-  // keeps the cv alive until this worker is done with it.
-  home->FinishBatch();
 }
 
 void Server::BuildResponses(std::vector<PendingFrame>* frames,
@@ -1116,13 +1075,12 @@ std::string StatuszJson(api::Engine* engine, const Server* server,
       out += StrFormat(
           "%s{\"index\": %zu, \"connections_accepted\": %llu, "
           "\"connections_reaped\": %llu, \"open_connections\": %zu, "
-          "\"batches\": %llu, \"outstanding_batches\": %zu}",
+          "\"batches\": %llu}",
           i == 0 ? "" : ", ", rs.index,
           static_cast<unsigned long long>(rs.connections_accepted),
           static_cast<unsigned long long>(rs.connections_reaped),
           rs.open_connections,
-          static_cast<unsigned long long>(rs.batches),
-          rs.outstanding_batches);
+          static_cast<unsigned long long>(rs.batches));
     }
     out += "]},\n";
   }

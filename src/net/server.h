@@ -2,11 +2,9 @@
 #define HYPERMINE_NET_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <thread>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "api/engine.h"
@@ -20,7 +18,6 @@
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace hypermine::net {
 
@@ -29,20 +26,21 @@ struct ServerOptions {
   /// Server::port() — tests and CI use this to avoid collisions).
   uint16_t port = 0;
   /// Reactor threads, one EventLoop each; every connection is pinned to
-  /// one reactor for its whole life. 1 (the default) reproduces the
-  /// single-reactor server exactly; 0 means one per hardware thread.
-  /// Several reactors each bind their own SO_REUSEPORT listener on the
-  /// shared port, and the kernel spreads accepts across them.
-  size_t num_reactors = 1;
+  /// one reactor for its whole life, and that reactor reads, answers and
+  /// writes all of its frames. 0 (the default) means one per hardware
+  /// thread, clamped to 128; an explicit value above 128 fails Start.
+  /// Reactor 0 accepts every query connection and deals them out
+  /// round-robin.
+  size_t num_reactors = 0;
   /// Concurrent connections; further accepts are closed immediately.
-  /// Independent of any pool size: connections are multiplexed on the
-  /// reactor threads, so an idle connection costs a descriptor and a
-  /// little state, not a worker — thousands are fine by default.
+  /// Connections are multiplexed on the reactor threads, so an idle
+  /// connection costs a descriptor and a little state, not a thread —
+  /// thousands are fine by default.
   size_t max_connections = 4096;
-  /// Most frames coalesced into one api::Engine::QueryBatch. Frames that
-  /// arrive while a connection's previous batch is executing coalesce
-  /// into the next one, so pipelined clients get large batches without
-  /// the server ever waiting for more input.
+  /// Most frames coalesced into one api::Engine::QueryBatch. Every frame
+  /// a read decoded is answered before the reactor reads again, max_batch
+  /// at a time, so pipelined clients get large batches without the server
+  /// ever waiting for more input.
   size_t max_batch = 64;
   /// Per-frame body limit (tighter than the protocol's kMaxBodyBytes).
   /// Oversized frames are rejected with kInvalidArgument but the body is
@@ -54,17 +52,22 @@ struct ServerOptions {
   uint64_t max_queries_per_connection = 0;
   /// Global cap on queries admitted but not yet answered, across all
   /// connections. Excess queries are rejected with kResourceExhausted
-  /// instead of queueing unboundedly. 0 = unlimited.
+  /// instead of queueing unboundedly. 0 = unlimited. A query counts from
+  /// admission until its batch returns, so with one batch per reactor at a
+  /// time the depth is at most num_reactors × max_batch.
   size_t max_queue_depth = 4096;
   /// Connections with no traffic for this long are closed by their
-  /// reactor's reap timer. 0 = never reap. A connection with an
-  /// executing batch, undelivered frames, or unflushed responses is
-  /// never considered idle.
+  /// reactor's reap timer. 0 = never reap. A connection with decoded
+  /// frames or unflushed responses is never considered idle.
   int idle_timeout_ms = 0;
   /// Load shedding: a query that already waited longer than this between
-  /// arrival and its engine batch is answered kUnavailable instead of
-  /// occupying a worker — under overload, answering a few queries in
-  /// time beats answering all of them late. 0 = never shed.
+  /// being parsed and its engine batch is answered kUnavailable instead of
+  /// occupying the reactor — under overload, answering a few queries in
+  /// time beats answering all of them late. 0 = never shed. The wait seen
+  /// is that of frames queued behind earlier batches of their own
+  /// connection (a pipelining client); bytes still in a socket buffer
+  /// while the reactor answers another connection are not parsed yet, so
+  /// they are not seen.
   int max_queue_wait_ms = 0;
   /// Slow-loris defense: a connection stuck in the middle of one frame
   /// (header or body partially received) for this long is closed. The
@@ -79,10 +82,6 @@ struct ServerOptions {
   /// the other 0-able knobs here (the kernel socket buffer still
   /// pushes back on the wire, but the server-side queue can grow).
   size_t write_high_water = 1u << 20;
-  /// Workers in the server's batch pool, which runs engine batches and
-  /// nothing else (connections live on their reactor, so the pool may be
-  /// any size whatever max_connections is); 0 = max(4, hardware threads).
-  size_t num_threads = 0;
   /// Admin HTTP plane (GET /metrics, /healthz, /statusz — contract in
   /// docs/observability.md) on a SECOND loopback port, always multiplexed
   /// on reactor 0: no extra thread, and a scrape observes a real serving
@@ -141,27 +140,26 @@ struct ServerStats {
 
 /// TCP front-end over api::Engine: `num_reactors` epoll (fallback: poll)
 /// event loops, each on its own reactor thread, own the listeners and
-/// every connection socket; a util::ThreadPool runs only engine batches.
-/// The framed protocol of net/protocol.h rides the wire unchanged from
-/// the single-reactor server this generalizes — answers are byte-
-/// identical whatever the reactor count.
+/// every connection socket, and run every batch to completion. The server
+/// starts exactly `num_reactors` threads. The framed protocol of
+/// net/protocol.h rides the wire unchanged — answers are byte-identical
+/// whatever the reactor count.
 ///
-/// Reactors: each accepted connection is pinned to one reactor for its
-/// whole life (net/reactor.h), so per-connection state needs no locks and
-/// the EventLoop's "reactor" capability holds per loop. With more than one
-/// reactor, every reactor runs its own SO_REUSEPORT listener on the shared
-/// port and the kernel spreads accepts.
+/// Reactors: reactor 0 owns the one query listener. It accepts every query
+/// connection and deals it round-robin; a socket meant for another reactor
+/// goes into that reactor's inbox, and the owner registers it. Each
+/// connection is pinned to one reactor for its whole life (net/reactor.h),
+/// so per-connection state needs no locks and the EventLoop's "reactor"
+/// capability holds per loop.
 ///
 /// Within a reactor, nonblocking reads feed each connection's
-/// net::Connection state machine (read buffer → frame decode); complete
-/// frames are handed to a pool worker as one api::Engine::QueryBatch (at
-/// most one executing batch per connection, so responses stay in request
-/// order); encoded responses come back through the owning reactor's
-/// completion queue + eventfd wakeup and drain through a per-connection
-/// write queue under EPOLLOUT backpressure. Frames arriving while a batch
-/// executes coalesce into the next batch. Because idle connections cost
-/// no worker, `max_connections` is decoupled from pool size and defaults
-/// to thousands.
+/// net::Connection state machine (read buffer → frame decode). The same
+/// thread then answers the decoded frames: admission, one
+/// api::Engine::QueryBatch per `max_batch` frames, response encode, and a
+/// write through the connection's write queue under EPOLLOUT
+/// backpressure. Nothing crosses a thread between the read and the
+/// write. The price: while a batch runs, the other connections on that
+/// reactor wait, and accepts and the admin plane wait with reactor 0.
 ///
 /// Admission control rejects rather than stalls: per-connection quota,
 /// global queue depth, and per-frame size limits all answer with a status
@@ -182,10 +180,8 @@ struct ServerStats {
 class Server {
  public:
   /// Binds, spawns the reactors, and returns a running server. The
-  /// engine pointer is borrowed. A failed bind of any listener returns its
-  /// status (kIoError; kUnimplemented where several reactors need
-  /// SO_REUSEPORT and the OS lacks it); kInvalidArgument for out-of-range
-  /// options.
+  /// engine pointer is borrowed. A failed bind returns its status
+  /// (kIoError); kInvalidArgument for out-of-range options.
   static StatusOr<std::unique_ptr<Server>> Start(api::Engine* engine,
                                                  ServerOptions options);
 
@@ -194,8 +190,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// The bound port (the real one when options.port was 0). All reuse-
-  /// port listeners share it.
+  /// The bound port (the real one when options.port was 0).
   uint16_t port() const { return port_; }
 
   /// The bound admin-plane port; 0 when the admin plane is disabled.
@@ -204,8 +199,8 @@ class Server {
   /// Reactor threads actually running (options.num_reactors resolved).
   size_t num_reactors() const { return reactors_.size(); }
 
-  /// Stops accepting, joins every reactor, waits for in-flight engine
-  /// batches, makes one best-effort nonblocking flush of finished
+  /// Stops accepting, joins every reactor (each finishes the batch it is
+  /// running), makes one best-effort nonblocking flush of finished
   /// responses, and closes every connection. Prompt even with thousands
   /// of idle connections open (the reactors own all of them; there is no
   /// per-connection thread to unwind). Idempotent. The one sacrifice for
@@ -215,7 +210,7 @@ class Server {
 
   /// Enters the drain state (idempotent, any thread): /healthz flips to
   /// 503 "draining" so rolling-restart orchestration stops routing here,
-  /// the query listeners close (new connects are refused, and those still
+  /// the query listener closes (new connects are refused, and those still
   /// in the accept backlog are reset), idle query connections are
   /// closed, and busy ones are closed as soon as their in-flight work is
   /// answered and flushed. The admin plane stays up — the orchestrator
@@ -230,7 +225,7 @@ class Server {
 
  private:
   Server(api::Engine* engine, ServerOptions options,
-         std::vector<std::unique_ptr<Reactor>> reactors,
+         std::vector<std::unique_ptr<Reactor>> reactors, Listener listener,
          Listener admin_listener);
 
   // Every method below marked HM_REQUIRES(r.loop) runs only with that
@@ -238,9 +233,13 @@ class Server {
   // establishes it via AssertOnLoopThread) or, for teardown, in Stop()
   // after that reactor joined and unbound.
   void ReactorLoop(Reactor* r);
-  /// Drains one listener's accept backlog; `admin` selects the admin
-  /// plane (HTTP personality, its own connection cap, reactor 0 only).
+  /// Drains one listener's accept backlog (reactor 0 only); `admin`
+  /// selects the admin plane (HTTP personality, its own connection cap).
+  /// Query connections are dealt round-robin over the reactors.
   void AcceptPending(Reactor& r, bool admin) HM_REQUIRES(r.loop);
+  /// Registers the sockets reactor 0 dealt to this reactor, or closes them
+  /// as rejected once a drain began.
+  void AdoptHandoffs(Reactor& r) HM_REQUIRES(r.loop);
   /// Registers an accepted socket with this reactor (the connection's
   /// home for life). The max_connections reservation was already taken
   /// at accept time; failure paths here release it.
@@ -250,8 +249,8 @@ class Server {
       HM_REQUIRES(r.loop);
   void ReadFromConn(Reactor& r, ReactorConn* conn) HM_REQUIRES(r.loop);
   void FlushWrites(Reactor& r, ReactorConn* conn) HM_REQUIRES(r.loop);
-  /// Submits a batch if one is ready, closes the connection if it is
-  /// finished, refreshes event-loop interest otherwise.
+  /// Answers the decoded frames, closes the connection if it is finished,
+  /// refreshes event-loop interest otherwise.
   void AfterEvent(Reactor& r, ReactorConn* conn) HM_REQUIRES(r.loop);
   /// Answers every parsed admin request queued on `conn` (and the one 400
   /// a corrupt stream earns before it is closed).
@@ -260,26 +259,20 @@ class Server {
   /// Routes one admin request to /metrics, /healthz, or /statusz.
   /// Touches only cross-thread-safe state, so no reactor requirement.
   HttpResponse RouteAdmin(const HttpRequest& request);
+  /// Runs the connection's decoded frames to completion on this reactor,
+  /// `max_batch` at a time: admission, engine batch, encode, queue and
+  /// flush.
   void SubmitBatch(Reactor& r, ReactorConn* conn) HM_REQUIRES(r.loop);
   void CloseConn(Reactor& r, ReactorConn* conn) HM_REQUIRES(r.loop);
   void ReapIdle(Reactor& r) HM_REQUIRES(r.loop);
   /// Closes query connections stuck mid-frame past stall_timeout_ms.
   void CheckStalls(Reactor& r) HM_REQUIRES(r.loop);
-  /// Reactor-side drain entry: closes this reactor's query listener and
-  /// its query connections with no in-flight work. Runs once per reactor
-  /// per Drain().
+  /// Reactor-side drain entry: closes the query listener (reactor 0) and
+  /// this reactor's quiet query connections. Runs once per reactor per
+  /// Drain().
   void ApplyDrain(Reactor& r) HM_REQUIRES(r.loop);
-  /// Applies completed batches: stats, write queues, next batches.
-  void DrainCompletions(Reactor& r) HM_REQUIRES(r.loop);
   /// Post-join teardown of one reactor (claims its capability itself).
   void TeardownReactor(Reactor& r);
-  /// Runs on a pool worker: admission + engine batch + response encode;
-  /// routes the completion back through the connection's own reactor.
-  /// `submitted` is when the reactor handed the batch over (queue-wait
-  /// histogram).
-  void ExecuteBatch(std::shared_ptr<ReactorConn> conn,
-                    std::vector<PendingFrame> frames,
-                    std::chrono::steady_clock::time_point submitted);
   /// Admission checks and engine execution for one batch; appends the
   /// encoded response frames to `*out` and counts each frame's outcome.
   void BuildResponses(std::vector<PendingFrame>* frames, uint64_t* served,
@@ -288,9 +281,12 @@ class Server {
 
   api::Engine* const engine_;
   const ServerOptions options_;
-  /// Resolved listener port (all reuse-port listeners share it).
+  /// Resolved listener port.
   uint16_t port_ = 0;
   std::vector<std::unique_ptr<Reactor>> reactors_;
+  /// The query listener, registered in reactor 0's loop. Only reactor 0
+  /// touches it (a drain closes it there), and Stop() after the join.
+  Listener listener_;
   /// Invalid (port() == 0) when the admin plane is disabled. Registered
   /// in reactor 0's loop.
   Listener admin_listener_;
@@ -299,10 +295,9 @@ class Server {
   /// The registry the server made when options.registry was null.
   std::unique_ptr<metrics::Registry> owned_registry_;
   metrics::Registry* registry_ = nullptr;
-  /// Every count the server keeps, each one registry series bumped where
-  /// its event happens: on a reactor thread (connections, bytes, admin
-  /// requests) or on the pool worker running the batch (queries). The
-  /// per-reactor series live on each Reactor.
+  /// Every count the server keeps, each one registry series bumped on the
+  /// reactor thread where its event happens. The per-reactor series live
+  /// on each Reactor.
   metrics::Counter* c_accepted_ = nullptr;
   metrics::Counter* c_rejected_ = nullptr;
   metrics::Counter* c_reaped_ = nullptr;
@@ -327,17 +322,14 @@ class Server {
   metrics::Histogram* h_engine_batch_ = nullptr;
   metrics::Histogram* h_write_drain_ = nullptr;
   /// The scrape-time collector bridging the values other owners hold
-  /// (engine cache and swaps, model version, uptime, outstanding batches)
-  /// into registry_; removed in Stop (it captures `this`).
+  /// (engine cache and swaps, model version, uptime) into registry_;
+  /// removed in Stop (it captures `this`).
   uint64_t collector_id_ = 0;
   bool collector_registered_ = false;
   /// The currently-set hypermine_model_info{model_version="N"} gauge, so
   /// the collector can zero the stale label series after a swap. Only
   /// touched by collectors (serialized by the registry).
   metrics::Gauge* model_info_gauge_ = nullptr;
-
-  /// Runs engine batches (ServerOptions::num_threads workers).
-  std::unique_ptr<ThreadPool> pool_;
 
   std::atomic<bool> stopping_{false};
   /// Set by Drain() (any thread); each reactor applies it once.

@@ -283,24 +283,11 @@ Listener& Listener::operator=(Listener&& other) noexcept {
   return *this;
 }
 
-StatusOr<Listener> Listener::Bind(uint16_t port, int backlog,
-                                  bool reuse_port) {
+StatusOr<Listener> Listener::Bind(uint16_t port, int backlog) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Errno("socket");
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuse_port) {
-#ifdef SO_REUSEPORT
-    if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      Status status = Errno("setsockopt(SO_REUSEPORT)");
-      ::close(fd);
-      return status;
-    }
-#else
-    ::close(fd);
-    return Status::Unimplemented("SO_REUSEPORT not available on this OS");
-#endif
-  }
 
   struct sockaddr_in addr = {};
   addr.sin_family = AF_INET;

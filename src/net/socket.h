@@ -115,12 +115,8 @@ class Listener {
   Listener& operator=(const Listener&) = delete;
 
   /// Binds and listens on 127.0.0.1:port with SO_REUSEADDR; port 0 picks
-  /// an ephemeral port (read it back with port()). `reuse_port` also sets
-  /// SO_REUSEPORT before binding, so several listeners — one per reactor —
-  /// can share one port and let the kernel spread accepted connections
-  /// across them. Every sharer must pass it, including the first one.
-  static StatusOr<Listener> Bind(uint16_t port, int backlog = 128,
-                                 bool reuse_port = false);
+  /// an ephemeral port (read it back with port()).
+  static StatusOr<Listener> Bind(uint16_t port, int backlog = 128);
 
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }

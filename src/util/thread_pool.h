@@ -11,9 +11,10 @@
 
 namespace hypermine {
 
-/// Fixed-size worker pool: the server's batch workers, the helpers of a
-/// multi-threaded api::Engine and of core::BuildAssociationHypergraph, and
-/// hypermine_serve's reload thread each run on one. Tasks are plain
+/// Fixed-size worker pool: the helpers of a multi-threaded api::Engine and
+/// of core::BuildAssociationHypergraph, and hypermine_serve's reload
+/// thread, each run on one. net::Server starts none: its reactors answer
+/// their own batches. Tasks are plain
 /// closures; Submit never blocks. Queued tasks start in submit order
 /// (FIFO), so on a one-worker pool they also finish in that order: back-to-
 /// back `!reload`s apply in the order they were typed. Tasks still queued

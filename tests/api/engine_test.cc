@@ -2,15 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
-#include <filesystem>
 #include <memory>
-#include <system_error>
 #include <thread>
 #include <vector>
 
 #include "api/model.h"
+#include "testing/process_threads.h"
 #include "testing/random_serve.h"
 #include "util/logging.h"
 
@@ -225,29 +223,7 @@ TEST(ApiEngineTest, SwapInvalidatesCacheCoherently) {
   EXPECT_EQ(repeat->model_version, b->version());
 }
 
-/// Threads in this process, read from /proc/self/task once two reads a
-/// millisecond apart agree (a joined thread can linger there a moment);
-/// 0 when the directory cannot be read.
-size_t ProcessThreads() {
-  auto count = []() -> size_t {
-    std::error_code error;
-    std::filesystem::directory_iterator it("/proc/self/task", error);
-    size_t n = 0;
-    for (; !error && it != std::filesystem::directory_iterator();
-         it.increment(error)) {
-      ++n;
-    }
-    return error ? 0 : n;
-  };
-  size_t last = count();
-  for (int i = 0; i < 100; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    const size_t now = count();
-    if (now == last) break;
-    last = now;
-  }
-  return last;
-}
+using hypermine::testing::ProcessThreads;
 
 TEST(ApiEngineTest, EngineStartsOnlyItsHelpers) {
   // The caller answers its own batch, so N threads take N - 1 helpers,

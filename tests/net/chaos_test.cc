@@ -114,7 +114,6 @@ TEST_P(ChaosTest, RandomizedFaultsNeverCrashCorruptOrMiscount) {
   api::Engine engine(model);
   ServerOptions options;
   options.port = 0;
-  options.num_threads = 2;
   options.max_batch = 8;
   options.max_queue_wait_ms = 50;
   options.stall_timeout_ms = 200;
@@ -145,7 +144,7 @@ TEST_P(ChaosTest, RandomizedFaultsNeverCrashCorruptOrMiscount) {
   arm("socket.read.short", 0.02);    // 1-byte reads: reassembly paths
   arm("socket.write.short", 0.02);   // 1-byte writes: partial-flush paths
   arm("socket.accept", 0.05);        // accept errors: listener mute+retry
-  arm("engine.batch", 0.03, 60);     // worker stalls -> queue-wait sheds
+  arm("engine.batch", 0.03, 60);     // reactor stalls -> queue-wait sheds
   arm("reload.verify", 0.5);         // post-swap probe failures -> rollback
   arm("snapshot.truncate", 0.1);     // torn reload reads
   arm("snapshot.corrupt", 0.15);     // flipped-bit reload reads
@@ -245,9 +244,9 @@ TEST_P(ChaosTest, RandomizedFaultsNeverCrashCorruptOrMiscount) {
   reloader.join();
 
   // --- phase 2: deterministic shed burst -------------------------------
-  // One guaranteed 150 ms worker stall, then a 32-frame pipeline: the
-  // first batch (max_batch=8) rides out the stall, the later frames wait
-  // past the 50 ms budget and MUST be shed — on every seed.
+  // One guaranteed 150 ms reactor stall, then a 32-frame pipeline: the
+  // first batch (max_batch=8) rides out the stall, the later frames parsed
+  // with it wait past the 50 ms budget and MUST be shed — on every seed.
   {
     fault::SiteConfig stall;
     stall.delay_ms = 150;

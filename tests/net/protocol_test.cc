@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "net/protocol.h"
 
@@ -190,6 +191,39 @@ TEST(ProtocolTest, UnknownQueryKindIsInvalid) {
   api::QueryRequest decoded;
   EXPECT_EQ(DecodeQueryBody(body, &decoded).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ProtocolTest, QueryNameCountAboveTheBodyIsCorruptedBeforeAllocating) {
+  // The query preamble is 15 bytes: kind, k, min_acv, then the u16 name
+  // count in its last 2 bytes.
+  std::string frame;
+  ASSERT_TRUE(EncodeQueryFrame(1, TopKRequest(), &frame).ok());
+  const std::string preamble = frame.substr(kFrameHeaderBytes, 13);
+  auto with_count = [&preamble](uint16_t count) {
+    return preamble + std::string(reinterpret_cast<const char*>(&count),
+                                  sizeof(count));
+  };
+
+  // A bare preamble claiming 65,535 names: reserving them first would
+  // take about 2 MiB of std::string for a 15-byte frame.
+  const std::string hostile = with_count(UINT16_MAX);
+  ASSERT_EQ(hostile.size(), 15u);
+  api::QueryRequest decoded;
+  EXPECT_EQ(DecodeQueryBody(hostile, &decoded).code(),
+            StatusCode::kCorrupted);
+  EXPECT_EQ(decoded.names.capacity(), 0u);
+
+  // The bound is a 2-byte length prefix per name: n empty names decode,
+  // and a count of n + 1 over the same bytes does not.
+  constexpr uint16_t kNames = 3;
+  const std::string empty_names(2 * kNames, '\0');
+  api::QueryRequest fits;
+  ASSERT_TRUE(DecodeQueryBody(with_count(kNames) + empty_names, &fits).ok());
+  EXPECT_EQ(fits.names, std::vector<std::string>(kNames, ""));
+  api::QueryRequest over;
+  EXPECT_EQ(DecodeQueryBody(with_count(kNames + 1) + empty_names, &over)
+                .code(),
+            StatusCode::kCorrupted);
 }
 
 TEST(ProtocolTest, ResponseRoundTripTopK) {

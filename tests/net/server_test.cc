@@ -10,7 +10,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,9 +20,11 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "testing/process_threads.h"
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/metrics.h"
+#include "util/thread_pool.h"
 
 namespace hypermine::net {
 namespace {
@@ -193,19 +194,19 @@ TEST(ServerTest, EncodeFailureMidBatchDoesNotPoisonTheConnection) {
   EXPECT_EQ(after->code, StatusCode::kOk);
 }
 
-TEST(ServerTest, ManyConnectionsOnATinyPool) {
-  // The event loop decouples connection count from pool size: a pool of
-  // 2 workers must serve far more than 2 live connections (the old
+TEST(ServerTest, ManyConnectionsOnOneReactor) {
+  // The event loop decouples connection count from thread count: one
+  // reactor must serve far more than one live connection (the old
   // thread-per-connection server rejected exactly this at Start).
   api::Engine engine(NamedModel());
   ServerOptions options;
   options.port = 0;
-  options.num_threads = 2;
+  options.num_reactors = 1;
   options.max_connections = 64;
   auto server = Server::Start(&engine, options);
   ASSERT_TRUE(server.ok()) << server.status();
 
-  constexpr size_t kClients = 16;  // 8x the pool size, all concurrent
+  constexpr size_t kClients = 16;  // all concurrent, all on one loop
   std::vector<std::thread> threads;
   std::atomic<uint64_t> ok{0};
   for (size_t t = 0; t < kClients; ++t) {
@@ -226,9 +227,9 @@ TEST(ServerTest, ManyConnectionsOnATinyPool) {
   EXPECT_EQ(stats.connections_rejected, 0u);
 }
 
-TEST(ServerTest, IdleConnectionsVastlyOutnumberPoolThreads) {
+TEST(ServerTest, IdleConnectionsShareOneReactorWithLiveTraffic) {
   // The core multiplexing claim: a thousand idle (never-written)
-  // connections coexist with live traffic on a pool of 2, and none of
+  // connections coexist with live traffic on one reactor, and none of
   // them is rejected, reaped, or interferes with answers.
   constexpr int kIdle = 1024;
   // Both ends of every connection are descriptors of this process.
@@ -246,7 +247,7 @@ TEST(ServerTest, IdleConnectionsVastlyOutnumberPoolThreads) {
   }
   api::Engine engine(NamedModel());
   ServerOptions options;
-  options.num_threads = 2;
+  options.num_reactors = 1;
   options.max_connections = 2048;
   auto server = StartOrDie(&engine, options);
 
@@ -398,7 +399,7 @@ TEST(ServerTest, GarbageStreamDropsConnectionButServerSurvives) {
     EXPECT_FALSE(read.ok());
   }
   {
-    // Valid header, then the peer dies mid-body: must not wedge a worker.
+    // Valid header, then the peer dies mid-body: must not wedge a reactor.
     auto socket = Socket::Connect("127.0.0.1", server->port(), 2000);
     ASSERT_TRUE(socket.ok());
     std::string frame;
@@ -500,7 +501,6 @@ TEST(ServerTest, StopIsPromptWithManyIdleConnectionsOpen) {
   // blocked read) to unwind one by one.
   api::Engine engine(NamedModel());
   ServerOptions options;
-  options.num_threads = 2;
   options.max_connections = 512;
   auto server = StartOrDie(&engine, options);
 
@@ -592,8 +592,10 @@ TEST(ServerTest, IdleTimeoutReapsOnlyTrulyIdleConnections) {
 
 TEST(ServerTest, QueueWaitSheddingAnswersUnavailable) {
   // Stall the first engine batch via the "engine.batch" fault site
-  // (one fire, 150 ms). With max_batch=1 every later frame waits in the
-  // pending queue behind it, out-waits the 10 ms budget, and must be
+  // (one fire, 150 ms), which holds the connection's reactor. The client
+  // pipelines all 8 frames in one write, so they are parsed together; with
+  // max_batch=1 every later frame waits in the connection's pending queue
+  // behind the stalled batch, out-waits the 10 ms budget, and must be
   // answered kUnavailable — a clean in-band shed, not a closed socket.
   fault::Injector& injector = fault::Injector::Global();
   injector.Reset();
@@ -607,7 +609,6 @@ TEST(ServerTest, QueueWaitSheddingAnswersUnavailable) {
   ServerOptions options;
   options.max_queue_wait_ms = 10;
   options.max_batch = 1;
-  options.num_threads = 1;
   auto server = StartOrDie(&engine, options);
   Client client = ConnectOrDie(server->port());
 
@@ -643,14 +644,15 @@ TEST(ServerTest, ShedQueriesRetrySuccessfullyOnceTheQueueClears) {
   ServerOptions options;
   options.max_queue_wait_ms = 10;
   options.max_batch = 1;
-  options.num_threads = 1;
+  options.num_reactors = 1;
   auto server = StartOrDie(&engine, options);
   Client slow = ConnectOrDie(server->port());
   Client retrying = ConnectOrDie(server->port());
 
-  // Occupy the single worker with the stalled query, then race a second
-  // client against the stall with retries enabled: its first attempt may
-  // be shed, but backoff outlives the stall and the retry answers.
+  // Occupy the single reactor with the stalled query, then race a second
+  // client against the stall with retries enabled: whatever its first
+  // attempt meets (a wait behind the stall, or a shed), backoff outlives
+  // the stall and the query answers.
   std::thread occupant([&slow] {
     auto response = slow.Query(Named({"A"}));
     ASSERT_TRUE(response.ok()) << response.status();
@@ -758,9 +760,9 @@ TEST(ServerTest, StallTimeoutClosesSlowLorisButNotSteadyTraffic) {
 
 // ---------------------------------------------------------------------
 // Multi-reactor cases: the serving path sharded over num_reactors event
-// loops must be *indistinguishable on the wire* from one loop, must
-// actually spread connections (per-reactor stats prove placement), and
-// must stop/drain promptly with zero dropped in-flight batches.
+// loops must be *indistinguishable on the wire* from one loop, must deal
+// connections round-robin (per-reactor stats prove placement), and must
+// stop/drain promptly with zero dropped in-flight batches.
 // ---------------------------------------------------------------------
 
 /// One deterministic wire conversation: sequential request/response
@@ -830,57 +832,33 @@ TEST(ServerMultiReactorTest, WireAnswersAreByteIdenticalAcrossReactorCounts) {
   }
 }
 
-/// One connection on every reactor, element i owned by reactor i. The
-/// kernel places connections by hash, so this connects one at a time,
-/// reads each connection's owner from the per-reactor accept counts, and
-/// closes the extras that land on a reactor already holding one; it
-/// returns once the server has closed them too.
+/// One connection on every reactor of a freshly started server, element i
+/// owned by reactor i: reactor 0 deals connections round-robin from 0, so
+/// n consecutive connects land one per reactor. Returns once every reactor
+/// has registered its connection.
 std::vector<Client> OneConnectionPerReactor(const Server& server) {
   const size_t reactors = server.num_reactors();
-  std::vector<std::optional<Client>> owned(reactors);
-  size_t placed = 0;
-  for (int attempt = 0; placed < reactors; ++attempt) {
-    HM_CHECK_LT(attempt, 256);  // the kernel skipped a reactor throughout
-    const ServerStats before = server.stats();
-    Client client = ConnectOrDie(server.port());
-    ServerStats after = server.stats();
-    for (int i = 0; i < 1000 && after.connections_accepted ==
-                                    before.connections_accepted;
-         ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      after = server.stats();
-    }
-    HM_CHECK_EQ(after.connections_accepted, before.connections_accepted + 1);
-    size_t owner = 0;
-    while (after.per_reactor[owner].connections_accepted ==
-           before.per_reactor[owner].connections_accepted) {
-      ++owner;
-    }
-    if (!owned[owner].has_value()) {
-      owned[owner].emplace(std::move(client));
-      ++placed;
-    }  // else the extra closes as `client` dies
+  std::vector<Client> clients;
+  for (size_t i = 0; i < reactors; ++i) {
+    clients.push_back(ConnectOrDie(server.port()));
   }
   for (int i = 0; i < 1000; ++i) {
-    size_t open = 0;
-    for (const ReactorStats& rs : server.stats().per_reactor) {
-      open += rs.open_connections;
+    const ServerStats stats = server.stats();
+    if (std::all_of(stats.per_reactor.begin(), stats.per_reactor.end(),
+                    [](const ReactorStats& rs) {
+                      return rs.open_connections == 1;
+                    })) {
+      break;
     }
-    if (open == reactors) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  std::vector<Client> clients;
-  for (std::optional<Client>& client : owned) {
-    clients.push_back(std::move(*client));
   }
   return clients;
 }
 
-TEST(ServerMultiReactorTest, ReusePortSpreadsConnectionsAcrossReactors) {
-  // The kernel's SO_REUSEPORT spread is hash-based, not round-robin, so
-  // this asserts conservation (per-reactor accepts sum to the total) and
-  // coverage (with 32 connections over 4 listeners, more than one reactor
-  // must own connections) rather than exact shares.
+TEST(ServerMultiReactorTest, ConnectionsAreDealtRoundRobin) {
+  // Reactor 0 accepts every query connection and deals them out in turn,
+  // so 32 sequential connections over 4 reactors give each exactly 8, and
+  // each reactor answers the batches of its own 8.
   api::Engine engine(NamedModel());
   ServerOptions options;
   options.num_reactors = 4;
@@ -893,21 +871,18 @@ TEST(ServerMultiReactorTest, ReusePortSpreadsConnectionsAcrossReactors) {
     clients.push_back(ConnectOrDie(server->port()));
     auto response = clients.back().Query(Named({"A"}));
     ASSERT_TRUE(response.ok()) << response.status();
+    ASSERT_EQ(response->code, StatusCode::kOk);
   }
 
   ServerStats stats = server->stats();
   EXPECT_EQ(stats.connections_accepted, kConns);
   ASSERT_EQ(stats.per_reactor.size(), 4u);
-  uint64_t summed = 0;
-  size_t reactors_used = 0;
   for (const ReactorStats& rs : stats.per_reactor) {
-    summed += rs.connections_accepted;
-    if (rs.connections_accepted > 0) ++reactors_used;
+    EXPECT_EQ(rs.connections_accepted, kConns / 4) << "reactor " << rs.index;
+    EXPECT_EQ(rs.open_connections, kConns / 4) << "reactor " << rs.index;
+    EXPECT_EQ(rs.batches, kConns / 4)
+        << "reactor " << rs.index << " answered another reactor's batch";
   }
-  EXPECT_EQ(summed, stats.connections_accepted)
-      << "per-reactor accepts must sum to the aggregate";
-  EXPECT_GE(reactors_used, 2u)
-      << "the kernel parked every connection on one reactor";
 }
 
 TEST(ServerMultiReactorTest, MaxConnectionsIsAGlobalCapAcrossReactors) {
@@ -943,10 +918,10 @@ TEST(ServerMultiReactorTest, MaxConnectionsIsAGlobalCapAcrossReactors) {
 }
 
 TEST(ServerMultiReactorTest, StopJoinsAllReactorsWithZeroDroppedBatches) {
-  // Batches in flight on BOTH reactors when Stop() lands: a stalled
-  // engine batch (fault site, 150 ms) pins one per connection. Stop must
-  // join every reactor, wait the batches out, and account them — nothing
-  // may vanish between a pool worker and a torn-down reactor.
+  // Batches running on BOTH reactors when Stop() lands: a stalled engine
+  // batch (fault site, 150 ms) holds each reactor. Stop must join every
+  // reactor, each after it finished its batch, and account them — nothing
+  // may vanish in the teardown.
   fault::Injector& injector = fault::Injector::Global();
   injector.Reset();
   injector.Enable(/*seed=*/1);
@@ -989,17 +964,16 @@ TEST(ServerMultiReactorTest, StopJoinsAllReactorsWithZeroDroppedBatches) {
       << "Stop must be prompt, not wedged on a reactor join";
   ServerStats stats = server->stats();
   // Zero dropped in-flight batches: both queries ran to completion and
-  // were accounted, and no reactor still shows work outstanding.
+  // were accounted, one on each reactor.
   EXPECT_EQ(stats.queries_answered, 2u);
   EXPECT_EQ(stats.batches, 2u);
   uint64_t applied = 0;
   for (const ReactorStats& rs : stats.per_reactor) {
-    EXPECT_EQ(rs.outstanding_batches, 0u)
-        << "reactor " << rs.index << " torn down with work in flight";
+    EXPECT_EQ(rs.batches, 1u) << "reactor " << rs.index;
     applied += rs.batches;
   }
   EXPECT_EQ(applied, stats.batches)
-      << "every batch must be applied by exactly one reactor";
+      << "every batch must be run by exactly one reactor";
 }
 
 TEST(ServerMultiReactorTest, DrainClosesQuietConnectionsOnEveryReactor) {
@@ -1049,12 +1023,41 @@ TEST(ServerMultiReactorTest, ZeroMeansHardwareConcurrency) {
   ServerOptions options;
   options.num_reactors = 0;
   auto server = StartOrDie(&engine, options);
+  // One per hardware thread, clamped to the 128-reactor sanity cap.
   EXPECT_EQ(server->num_reactors(),
-            std::max<size_t>(1, ThreadPool::HardwareThreads()));
+            std::min<size_t>(ThreadPool::HardwareThreads(), 128));
   Client client = ConnectOrDie(server->port());
   auto response = client.Query(Named({"A"}));
   ASSERT_TRUE(response.ok()) << response.status();
   EXPECT_EQ(response->code, StatusCode::kOk);
+
+  // An explicit count above the cap is a typo, not a request to clamp.
+  options.num_reactors = 129;
+  EXPECT_EQ(Server::Start(&engine, options).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ServerTest, ServerStartsOnlyItsReactors) {
+  // Each reactor answers its own batches, so a server starts exactly
+  // num_reactors threads and no pool.
+  if (hypermine::testing::ProcessThreads() == 0) {
+    GTEST_SKIP() << "/proc/self/task cannot be read";
+  }
+  api::Engine engine(NamedModel());  // its helpers start here, not below
+  for (size_t reactors : {size_t{1}, size_t{3}}) {
+    ServerOptions options;
+    options.num_reactors = reactors;
+    const size_t before = hypermine::testing::ProcessThreads();
+    auto server = StartOrDie(&engine, options);
+    EXPECT_EQ(hypermine::testing::ProcessThreads(), before + reactors)
+        << "num_reactors = " << reactors;
+    Client client = ConnectOrDie(server->port());
+    auto response = client.Query(Named({"A"}));
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(response->code, StatusCode::kOk);
+    EXPECT_EQ(hypermine::testing::ProcessThreads(), before + reactors)
+        << "answering started a thread, num_reactors = " << reactors;
+  }
 }
 
 }  // namespace

@@ -329,7 +329,8 @@ int RunServe(const FlagParser& flags) {
       return 1;
     }
     server_options.stall_timeout_ms = static_cast<int>(stall_ms);
-    const int64_t reactors = flags.GetInt("reactors", 1);
+    const int64_t reactors = flags.GetInt(
+        "reactors", static_cast<int64_t>(server_options.num_reactors));
     if (reactors < 0) {
       std::fprintf(stderr, "error: --reactors must be >= 0\n");
       return 1;
@@ -556,10 +557,11 @@ int Main(int argc, char** argv) {
                "on 127.0.0.1:PORT (see hypermine_client);\n"
                "    --admin-port adds GET /metrics, /healthz, /statusz "
                "(docs/observability.md) on a second port;\n"
-               "    --reactors=N shards the serving path over N event-"
-               "loop threads (0 = one per hardware thread);\n"
+               "    --reactors=N serves on N event-loop threads, each "
+               "answering its own connections' batches\n"
+               "      (default 0: one per hardware thread);\n"
                "    --threads=N answers each query batch on N threads, the "
-               "server worker holding it included\n"
+               "reactor holding it included\n"
                "      (default 1: the engine starts no thread of its own)\n"
                "  hypermine_serve --make-demo --out=a.snap "
                "[--variant-out=b.snap]\n"
